@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet staticcheck test build bench bench-compare serve-smoke cluster-smoke cache-smoke provenance-smoke warmstart-smoke
+.PHONY: check fmt vet staticcheck test build bench bench-compare serve-smoke cluster-smoke cache-smoke provenance-smoke warmstart-smoke fuzz-smoke
 
 # check is the tier-1 verification: formatting, static analysis, and the
 # full test suite under the race detector.
@@ -59,6 +59,22 @@ provenance-smoke:
 # corrupt entry must be quarantined and recomputed across a restart.
 warmstart-smoke:
 	./scripts/warmstart_smoke.sh
+
+# fuzz-smoke runs every fuzz target under internal/ (found by grepping for
+# func Fuzz*) for FUZZTIME each: the binary-format decoders must reject or
+# canonically re-encode hostile input, within an allocation budget
+# proportional to its size. Failing inputs land in the package's
+# testdata/fuzz/ and replay as regular tests from then on.
+FUZZTIME ?= 10s
+
+fuzz-smoke:
+	@set -e; for f in $$(grep -rl --include='*_test.go' '^func Fuzz' internal | sort); do \
+		pkg=./$$(dirname $$f); \
+		for fn in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			echo "== $$pkg $$fn ($(FUZZTIME))"; \
+			$(GO) test -run='^$$' -fuzz="^$$fn\$$" -fuzztime=$(FUZZTIME) $$pkg; \
+		done; \
+	done
 
 # bench runs the paper-table and convolution-engine benchmarks and archives
 # both a benchstat-compatible text file and a JSON rendering under results/,

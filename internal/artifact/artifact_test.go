@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"mosaic/internal/frame"
 	"mosaic/internal/grid"
 	"mosaic/internal/ilt"
 )
@@ -431,7 +432,7 @@ func TestVerifyCleanAndCorrupt(t *testing.T) {
 
 	// A payload that still frames correctly but was swapped wholesale
 	// (CRC recomputed by an attacker) is caught by the content hash.
-	swapped := frame(blobMagic, []byte("not the original payload"))
+	swapped := frame.Append(nil, blobMagic, []byte("not the original payload"))
 	if err := os.WriteFile(path, swapped, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -1,116 +1,44 @@
 package artifact
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
-	"hash/crc32"
-	"math"
 
+	"mosaic/internal/frame"
 	"mosaic/internal/grid"
 	"mosaic/internal/ilt"
 )
 
-// Blob files, anchor-log records, and the raw-mask wire format all use
-// the repo's binary frame idiom (cache MTCE, journal MJRN, cluster
-// MTJB/MTRS):
-//
-//	[4] magic  (uint32 LE)
-//	[4] length (uint32 LE; payload bytes)
-//	[4] crc32  (IEEE, over the payload)
-//	[n] payload
+// Blob files, anchor-log records, and the raw-mask wire format are each
+// one frame (see package frame).
 const (
 	blobMagic   uint32 = 0x4241544d // "MTAB": one stored artifact blob
 	anchorMagic uint32 = 0x4e41544d // "MTAN": one anchor-log record
 	fieldMagic  uint32 = 0x4647544d // "MTGF": one raw field raster
-
-	// maxPayload bounds any frame before allocation, like the cluster
-	// codec's cap: a corrupt length field must not OOM the process.
-	maxPayload = 1 << 30
-
-	frameHeader = 12
 )
 
-// frame wraps a payload in a magic/length/CRC header.
-func frame(magic uint32, payload []byte) []byte {
-	out := make([]byte, frameHeader+len(payload))
-	binary.LittleEndian.PutUint32(out[0:], magic)
-	binary.LittleEndian.PutUint32(out[4:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[8:], crc32.ChecksumIEEE(payload))
-	copy(out[frameHeader:], payload)
-	return out
-}
-
-// unframe validates a whole-buffer frame and returns its payload.
-func unframe(magic uint32, data []byte) ([]byte, error) {
-	if len(data) < frameHeader {
-		return nil, fmt.Errorf("frame is %d bytes, shorter than a header", len(data))
-	}
-	if got := binary.LittleEndian.Uint32(data[0:]); got != magic {
-		return nil, fmt.Errorf("frame magic %#x, want %#x", got, magic)
-	}
-	n := binary.LittleEndian.Uint32(data[4:])
-	if n > maxPayload || int(n) != len(data)-frameHeader {
-		return nil, fmt.Errorf("frame payload length %d does not match %d file bytes", n, len(data))
-	}
-	payload := data[frameHeader:]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[8:]) {
-		return nil, fmt.Errorf("frame CRC mismatch")
-	}
-	return payload, nil
-}
-
-// resultVersion versions the EncodeResult payload layout.
-const resultVersion = 1
-
 // EncodeResult serializes a tile result as its canonical artifact
-// payload: version, window size, objective, iterations, then the
-// continuous mask as IEEE-754 bit patterns (8-byte LE). The encoding
-// is deliberately runtime-free — it covers the result's bits and
-// nothing about where or when they were computed — so a cold run, a
-// cached warm run, and a remote run of the same request produce
-// byte-identical blobs, and therefore the same leaf digest and Merkle
-// root.
+// payload — the ilt result payload (ilt.WriteResult), which is
+// runtime-free, so a cold run, a cached warm run, and a remote run of
+// the same request produce byte-identical blobs, and therefore the same
+// leaf digest and Merkle root.
 func EncodeResult(res *ilt.Result) ([]byte, error) {
-	if res == nil || res.MaskGray == nil || res.MaskGray.W != res.MaskGray.H || res.MaskGray.W <= 0 {
-		return nil, fmt.Errorf("artifact: result has no square gray mask")
+	var b bytes.Buffer
+	if err := ilt.WriteResult(frame.NewEnc(&b), res); err != nil {
+		return nil, fmt.Errorf("artifact: %w", err)
 	}
-	data := res.MaskGray.Data
-	payload := make([]byte, 32+8*len(data))
-	binary.LittleEndian.PutUint64(payload[0:], resultVersion)
-	binary.LittleEndian.PutUint64(payload[8:], uint64(res.MaskGray.W))
-	binary.LittleEndian.PutUint64(payload[16:], math.Float64bits(res.Objective))
-	binary.LittleEndian.PutUint64(payload[24:], uint64(res.Iterations))
-	for i, v := range data {
-		binary.LittleEndian.PutUint64(payload[32+8*i:], math.Float64bits(v))
-	}
-	return payload, nil
+	return b.Bytes(), nil
 }
 
-// DecodeResult rebuilds a tile result from an artifact payload. The
-// binary mask is re-derived by thresholding, exactly as the cache,
-// journal, and cluster codecs do; RuntimeSec is zero because the
-// artifact deliberately does not record it.
+// DecodeResult rebuilds a tile result from an artifact payload;
+// RuntimeSec is zero because the artifact deliberately does not record
+// it.
 func DecodeResult(payload []byte) (*ilt.Result, error) {
-	if len(payload) < 32 {
-		return nil, fmt.Errorf("artifact: result payload is %d bytes, shorter than its scalars", len(payload))
+	d := frame.NewDec(payload)
+	res := ilt.ReadResult(d)
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("artifact: result payload: %w", err)
 	}
-	r64 := func(off int) uint64 { return binary.LittleEndian.Uint64(payload[off:]) }
-	if v := r64(0); v != resultVersion {
-		return nil, fmt.Errorf("artifact: result payload version %d, want %d", v, resultVersion)
-	}
-	w := int(int64(r64(8)))
-	if w <= 0 || w > 1<<15 || len(payload) != 32+8*w*w {
-		return nil, fmt.Errorf("artifact: payload length %d does not fit a %d px window", len(payload), w)
-	}
-	res := &ilt.Result{
-		Objective:  math.Float64frombits(r64(16)),
-		Iterations: int(int64(r64(24))),
-		MaskGray:   grid.New(w, w),
-	}
-	for i := range res.MaskGray.Data {
-		res.MaskGray.Data[i] = math.Float64frombits(r64(32 + 8*i))
-	}
-	res.Mask = res.MaskGray.Threshold(0.5)
 	return res, nil
 }
 
@@ -121,36 +49,28 @@ const fieldVersion = 1
 // the raw-mask wire format of GET /v1/jobs/{id}/mask. Payload:
 // version, W, H, then W*H float64 bit patterns in row-major order.
 func EncodeFieldFrame(f *grid.Field) []byte {
-	payload := make([]byte, 24+8*len(f.Data))
-	binary.LittleEndian.PutUint64(payload[0:], fieldVersion)
-	binary.LittleEndian.PutUint64(payload[8:], uint64(f.W))
-	binary.LittleEndian.PutUint64(payload[16:], uint64(f.H))
-	for i, v := range f.Data {
-		binary.LittleEndian.PutUint64(payload[24+8*i:], math.Float64bits(v))
-	}
-	return frame(fieldMagic, payload)
+	data, _ := frame.Marshal(fieldMagic, func(e *frame.Enc) error { // fill cannot fail
+		e.I64(fieldVersion)
+		e.Field(f)
+		return nil
+	})
+	return data
 }
 
 // DecodeFieldFrame parses an MTGF frame back into a raster.
 func DecodeFieldFrame(data []byte) (*grid.Field, error) {
-	payload, err := unframe(fieldMagic, data)
+	payload, err := frame.Open(fieldMagic, data)
 	if err != nil {
-		return nil, fmt.Errorf("artifact: %v", err)
+		return nil, fmt.Errorf("artifact: %w", err)
 	}
-	if len(payload) < 24 {
-		return nil, fmt.Errorf("artifact: field payload is %d bytes, shorter than its scalars", len(payload))
+	d := frame.NewDec(payload)
+	d.Version(fieldVersion)
+	f := d.Field()
+	if f == nil {
+		d.Fail("field frame holds no raster")
 	}
-	r64 := func(off int) uint64 { return binary.LittleEndian.Uint64(payload[off:]) }
-	if v := r64(0); v != fieldVersion {
-		return nil, fmt.Errorf("artifact: field payload version %d, want %d", v, fieldVersion)
-	}
-	w, h := int(int64(r64(8))), int(int64(r64(16)))
-	if w <= 0 || h <= 0 || w > 1<<15 || h > 1<<15 || len(payload) != 24+8*w*h {
-		return nil, fmt.Errorf("artifact: payload length %d does not fit a %dx%d field", len(payload), w, h)
-	}
-	f := grid.New(w, h)
-	for i := range f.Data {
-		f.Data[i] = math.Float64frombits(r64(24 + 8*i))
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("artifact: field payload: %w", err)
 	}
 	return f, nil
 }

@@ -2,12 +2,11 @@ package artifact
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"math"
 
 	"mosaic/internal/cache"
+	"mosaic/internal/frame"
 	"mosaic/internal/geom"
 	"mosaic/internal/ilt"
 	"mosaic/internal/obs"
@@ -206,16 +205,14 @@ func DecodeManifest(payload []byte) (*Manifest, error) {
 // coordinate dump.
 func geometryDigest(l *geom.Layout) Digest {
 	h := sha256.New()
-	var b [8]byte
-	w64 := func(v uint64) { binary.LittleEndian.PutUint64(b[:], v); h.Write(b[:]) }
-	wf := func(v float64) { w64(math.Float64bits(v)) }
-	wf(l.SizeNM)
-	w64(uint64(len(l.Polys)))
+	e := frame.NewEnc(h)
+	e.F64(l.SizeNM)
+	e.I64(int64(len(l.Polys)))
 	for _, p := range l.Polys {
-		w64(uint64(len(p)))
+		e.I64(int64(len(p)))
 		for _, pt := range p {
-			wf(pt.X)
-			wf(pt.Y)
+			e.F64(pt.X)
+			e.F64(pt.Y)
 		}
 	}
 	var d Digest

@@ -1,10 +1,8 @@
 package artifact
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -12,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"mosaic/internal/frame"
 	"mosaic/internal/obs"
 )
 
@@ -123,33 +122,17 @@ func (s *Store) replay(f *os.File) error {
 	if err != nil {
 		return fmt.Errorf("artifact: reading anchor log: %w", err)
 	}
-	off := 0
-	for off < len(data) {
-		rest := data[off:]
-		if len(rest) < frameHeader {
-			break
-		}
-		if binary.LittleEndian.Uint32(rest[0:]) != anchorMagic {
-			break
-		}
-		n := binary.LittleEndian.Uint32(rest[4:])
-		if n > maxPayload || frameHeader+int(n) > len(rest) {
-			break
-		}
-		payload := rest[frameHeader : frameHeader+int(n)]
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(rest[8:]) {
-			break
-		}
+	off, err := frame.Scan(data, anchorMagic, func(payload []byte) error {
 		var rec Record
 		if err := json.Unmarshal(payload, &rec); err != nil {
-			break
+			return err
 		}
 		s.index(&rec)
-		off += frameHeader + int(n)
-	}
-	if off < len(data) {
+		return nil
+	})
+	if err != nil {
 		obs.Logger().Warn("artifact: truncating torn anchor-log tail",
-			"valid_bytes", off, "dropped_bytes", len(data)-off)
+			"valid_bytes", off, "dropped_bytes", len(data)-off, "err", err)
 		if err := f.Truncate(int64(off)); err != nil {
 			return fmt.Errorf("artifact: truncating torn anchor log: %w", err)
 		}
@@ -172,18 +155,16 @@ func (s *Store) index(rec *Record) {
 	}
 }
 
-// blobPath is the sharded on-disk location of a blob (two hex digits
-// give 256 shards, keeping listings short at millions of blobs).
+// blobPath is the sharded on-disk location of a blob.
 func (s *Store) blobPath(d Digest) string {
-	h := d.String()
-	return filepath.Join(s.dir, "blobs", h[:2], h+".blob")
+	return frame.ShardPath(filepath.Join(s.dir, "blobs"), d.String(), ".blob")
 }
 
 // PutBlob writes payload as a content-addressed MTAB blob and returns
 // its digest. Blobs are immutable and deduplicated — a payload already
 // stored (the same cell anchored by another job) costs a stat, not a
-// write. Writes are synced and atomically renamed into place, so
-// readers only ever see whole frames.
+// write. Writes are synced and atomic, so readers only ever see whole
+// frames.
 func (s *Store) PutBlob(payload []byte) (Digest, error) {
 	d := HashBlob(payload)
 	path := s.blobPath(d)
@@ -191,24 +172,8 @@ func (s *Store) PutBlob(payload []byte) (Digest, error) {
 		mBlobsDeduped.Inc()
 		return d, nil
 	}
-	shard := filepath.Dir(path)
-	if err := os.MkdirAll(shard, 0o755); err != nil {
-		return d, fmt.Errorf("artifact: creating blob shard: %w", err)
-	}
-	tmp, err := os.CreateTemp(shard, ".blob-*")
-	if err != nil {
-		return d, fmt.Errorf("artifact: creating blob temp file: %w", err)
-	}
-	_, werr := tmp.Write(frame(blobMagic, payload))
-	serr := tmp.Sync()
-	cerr := tmp.Close()
-	if werr != nil || serr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return d, fmt.Errorf("artifact: writing blob %s: %v", d, fmt.Sprint(werr, serr, cerr))
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return d, fmt.Errorf("artifact: installing blob %s: %w", d, err)
+	if err := frame.WriteFile(path, frame.Append(nil, blobMagic, payload), true); err != nil {
+		return d, fmt.Errorf("artifact: blob %s: %w", d, err)
 	}
 	mBlobsWritten.Inc()
 	mBlobBytes.Add(int64(len(payload)))
@@ -240,7 +205,7 @@ func (s *Store) rawBlob(d Digest) ([]byte, error) {
 		}
 		return nil, fmt.Errorf("artifact: reading blob %s: %w", d, err)
 	}
-	payload, err := unframe(blobMagic, data)
+	payload, err := frame.Open(blobMagic, data)
 	if err != nil {
 		return nil, fmt.Errorf("%w: blob %s: %v", ErrCorrupt, d, err)
 	}
@@ -287,7 +252,7 @@ func (s *Store) Commit(jobID string, manifest []byte, leaves []Leaf) (*Record, e
 	if err != nil {
 		return nil, fmt.Errorf("artifact: encoding anchor record: %w", err)
 	}
-	if err := s.appendAnchor(frame(anchorMagic, payload)); err != nil {
+	if err := s.appendAnchor(frame.Append(nil, anchorMagic, payload)); err != nil {
 		return nil, err
 	}
 	s.imu.Lock()

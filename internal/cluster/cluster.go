@@ -23,8 +23,7 @@
 //
 // The control plane (join, heartbeat, leave, worker listing) is small
 // JSON; the data plane (tile jobs and results, dominated by float64
-// rasters) uses compact MOSNAP01-style binary frames with a length and
-// CRC32 header.
+// rasters) uses the repo's binary frames (package frame).
 package cluster
 
 import (

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"mosaic/internal/frame"
 	"mosaic/internal/geom"
 	"mosaic/internal/grid"
 	"mosaic/internal/ilt"
@@ -150,15 +151,12 @@ func newTestCoordinator(t *testing.T, cfg Config) *Coordinator {
 
 func TestFrameRoundTripAndCorruption(t *testing.T) {
 	payload := []byte("tile job bytes \x00\xff")
-	var buf bytes.Buffer
-	n, err := writeFrame(&buf, magicTileJob, payload)
-	if err != nil {
-		t.Fatal(err)
+	buf := bytes.NewBuffer(frame.Append(nil, magicTileJob, payload))
+	n := buf.Len()
+	if n != 12+len(payload) {
+		t.Fatalf("frame wrote %d bytes, want %d", n, 12+len(payload))
 	}
-	if n != 12+len(payload) || buf.Len() != n {
-		t.Fatalf("frame wrote %d bytes, want %d", buf.Len(), 12+len(payload))
-	}
-	got, rn, err := readFrame(bytes.NewReader(buf.Bytes()), magicTileJob)
+	got, rn, err := frame.Read(bytes.NewReader(buf.Bytes()), magicTileJob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,15 +164,15 @@ func TestFrameRoundTripAndCorruption(t *testing.T) {
 		t.Fatalf("round trip read %d bytes %q, want %d bytes %q", rn, got, n, payload)
 	}
 
-	if _, _, err := readFrame(bytes.NewReader(buf.Bytes()), magicTileResult); err == nil {
+	if _, _, err := frame.Read(bytes.NewReader(buf.Bytes()), magicTileResult); err == nil {
 		t.Fatal("wrong magic accepted")
 	}
 	flipped := append([]byte(nil), buf.Bytes()...)
 	flipped[14] ^= 0x01 // payload corruption must trip the CRC
-	if _, _, err := readFrame(bytes.NewReader(flipped), magicTileJob); err == nil || !strings.Contains(err.Error(), "CRC") {
+	if _, _, err := frame.Read(bytes.NewReader(flipped), magicTileJob); err == nil || !strings.Contains(err.Error(), "CRC") {
 		t.Fatalf("corrupted payload: %v, want a CRC error", err)
 	}
-	if _, _, err := readFrame(bytes.NewReader(buf.Bytes()[:len(buf.Bytes())-1]), magicTileJob); err == nil {
+	if _, _, err := frame.Read(bytes.NewReader(buf.Bytes()[:len(buf.Bytes())-1]), magicTileJob); err == nil {
 		t.Fatal("truncated frame accepted")
 	}
 	huge := make([]byte, 12)
@@ -182,7 +180,7 @@ func TestFrameRoundTripAndCorruption(t *testing.T) {
 	for i := 4; i < 8; i++ {
 		huge[i] = 0xff // length far beyond the payload cap
 	}
-	if _, _, err := readFrame(bytes.NewReader(huge), magicTileJob); err == nil {
+	if _, _, err := frame.Read(bytes.NewReader(huge), magicTileJob); err == nil {
 		t.Fatal("oversized frame length accepted")
 	}
 }
@@ -204,14 +202,14 @@ func TestTileJobCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.TileIndex != 1 || job.WindowPx != env.plan.WindowPx || job.PixelNM != env.plan.PixelNM {
+	if job.Tile.Index != 1 || job.Plan.WindowPx != env.plan.WindowPx || job.Plan.PixelNM != env.plan.PixelNM {
 		t.Fatalf("geometry fields did not round trip: %+v", job)
 	}
-	if job.Optics != env.ws.Cfg {
-		t.Fatalf("optics config did not round trip: %+v != %+v", job.Optics, env.ws.Cfg)
+	if job.Sim.Cfg != env.ws.Cfg {
+		t.Fatalf("optics config did not round trip: %+v != %+v", job.Sim.Cfg, env.ws.Cfg)
 	}
-	if job.Resist != env.ws.Resist {
-		t.Fatalf("resist model did not round trip: %+v != %+v", job.Resist, env.ws.Resist)
+	if job.Sim.Resist != env.ws.Resist {
+		t.Fatalf("resist model did not round trip: %+v != %+v", job.Sim.Resist, env.ws.Resist)
 	}
 	// Hooks and diagnostics never cross the wire; everything else must.
 	want := env.cfg
@@ -226,13 +224,13 @@ func TestTileJobCodecRoundTrip(t *testing.T) {
 		t.Fatalf("optimizer config did not round trip: %+v", job.Cfg)
 	}
 	wl := req.Tile.Layout
-	if job.Layout.Name != wl.Name || job.Layout.SizeNM != wl.SizeNM || len(job.Layout.Polys) != len(wl.Polys) {
-		t.Fatalf("layout did not round trip: %d polys over %g nm", len(job.Layout.Polys), job.Layout.SizeNM)
+	if job.Tile.Layout.Name != wl.Name || job.Tile.Layout.SizeNM != wl.SizeNM || len(job.Tile.Layout.Polys) != len(wl.Polys) {
+		t.Fatalf("layout did not round trip: %d polys over %g nm", len(job.Tile.Layout.Polys), job.Tile.Layout.SizeNM)
 	}
 	for i, p := range wl.Polys {
 		for k, pt := range p {
-			if job.Layout.Polys[i][k] != pt {
-				t.Fatalf("polygon %d point %d drifted: %+v != %+v", i, k, job.Layout.Polys[i][k], pt)
+			if job.Tile.Layout.Polys[i][k] != pt {
+				t.Fatalf("polygon %d point %d drifted: %+v != %+v", i, k, job.Tile.Layout.Polys[i][k], pt)
 			}
 		}
 	}
@@ -355,11 +353,14 @@ func TestTileResultCodecRoundTrip(t *testing.T) {
 		t.Fatal("result without a gray mask encoded")
 	}
 
-	// A payload ending at the mask data — a frame from a peer predating
-	// span shipping — still decodes, with no spans.
-	legacy := payload[:len(payload)-8]
-	if idx, out, spans, err := decodeTileResult(legacy); err != nil || idx != 3 || out == nil || spans != nil {
-		t.Fatalf("legacy span-less payload rejected: idx=%d spans=%v err=%v", idx, spans, err)
+	// The span section is mandatory (an empty one is a zero count), so
+	// every accepted payload re-encodes to itself; MTRS peers share a
+	// build, so no span-less legacy form needs accepting.
+	if _, _, _, err := decodeTileResult(payload[:len(payload)-8]); err == nil {
+		t.Fatal("payload without a span section accepted")
+	}
+	if _, out, spans, err := decodeTileResult(payload); err != nil || spans != nil || out == nil {
+		t.Fatalf("empty span section: spans=%v err=%v", spans, err)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"mosaic/internal/frame"
 	"mosaic/internal/httpapi"
 	"mosaic/internal/ilt"
 	"mosaic/internal/obs"
@@ -313,7 +314,7 @@ func (c *Coordinator) RunTile(ctx context.Context, req *tile.Request) (*ilt.Resu
 		mTilesLocal.Inc()
 		return tile.RunWindow(ctx, req.Sim, req.Cfg, req.Tile.Layout, req.Plan.WindowPx, req.Plan.PixelNM, req.Samples)
 	}
-	var payload []byte // encoded lazily: local-only runs never pay for it
+	var body []byte // MTJB frame, encoded lazily: local-only runs never pay for it
 	for attempt := 0; attempt < maxDispatchAttempts; attempt++ {
 		w, err := c.acquire(ctx)
 		if err != nil {
@@ -322,10 +323,10 @@ func (c *Coordinator) RunTile(ctx context.Context, req *tile.Request) (*ilt.Resu
 		if w == nil {
 			break // no fleet: run locally
 		}
-		if payload == nil {
-			payload = encodeTileJob(req)
+		if body == nil {
+			body = frame.Append(nil, magicTileJob, encodeTileJob(req))
 		}
-		res, derr := c.dispatch(ctx, w, req.Tile.Index, payload)
+		res, derr := c.dispatch(ctx, w, req.Tile.Index, body)
 		if derr == nil {
 			mTilesRemote.Inc()
 			if req.Prov != nil {
@@ -399,10 +400,10 @@ type dispatchError struct {
 	permanent    bool // the optimization failed; reassignment cannot help
 }
 
-// dispatch sends one tile job to a worker under a lease and decodes the
+// dispatch sends one framed tile job to a worker under a lease and decodes the
 // result. The lease deadline bounds the HTTP exchange; the reaper cancels
 // it early if the worker dies.
-func (c *Coordinator) dispatch(ctx context.Context, w *remoteWorker, tileIdx int, payload []byte) (*ilt.Result, *dispatchError) {
+func (c *Coordinator) dispatch(ctx context.Context, w *remoteWorker, tileIdx int, body []byte) (*ilt.Result, *dispatchError) {
 	dctx, cancel := context.WithDeadline(ctx, time.Now().Add(c.cfg.LeaseTTL))
 	// The dispatch span is the remote subtree's parent: its identity goes
 	// out on the Traceparent header, and the worker's shipped spans come
@@ -427,18 +428,14 @@ func (c *Coordinator) dispatch(ctx context.Context, w *remoteWorker, tileIdx int
 		c.mu.Unlock()
 	}()
 
-	var frame bytes.Buffer
-	if _, err := writeFrame(&frame, magicTileJob, payload); err != nil {
-		return nil, &dispatchError{err: err, permanent: true}
-	}
-	httpReq, err := http.NewRequestWithContext(dctx, http.MethodPost, w.addr+"/v1/cluster/tile", bytes.NewReader(frame.Bytes()))
+	httpReq, err := http.NewRequestWithContext(dctx, http.MethodPost, w.addr+"/v1/cluster/tile", bytes.NewReader(body))
 	if err != nil {
 		return nil, &dispatchError{err: err, permanent: true}
 	}
 	httpReq.Header.Set("Content-Type", "application/octet-stream")
 	httpReq.Header.Set("Traceparent", dspan.Context().Traceparent())
 	resp, err := c.client.Do(httpReq)
-	mBytesSent.Add(int64(frame.Len()))
+	mBytesSent.Add(int64(len(body)))
 	if err != nil {
 		if dctx.Err() != nil && ctx.Err() == nil {
 			mLeasesExpired.Inc()
@@ -463,12 +460,12 @@ func (c *Coordinator) dispatch(ctx context.Context, w *remoteWorker, tileIdx int
 			permanent: true,
 		}
 	}
-	body, n, err := readFrame(resp.Body, magicTileResult)
+	payload, n, err := frame.Read(resp.Body, magicTileResult)
 	if err != nil {
-		return nil, &dispatchError{err: err, removeWorker: true}
+		return nil, &dispatchError{err: fmt.Errorf("cluster: %w", err), removeWorker: true}
 	}
 	mBytesRecv.Add(int64(n))
-	gotIdx, res, spans, err := decodeTileResult(body)
+	gotIdx, res, spans, err := decodeTileResult(payload)
 	if err != nil {
 		return nil, &dispatchError{err: err, removeWorker: true}
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"net/http"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"mosaic/internal/frame"
 	"mosaic/internal/obs"
 	"mosaic/internal/tile"
 )
@@ -31,16 +33,12 @@ func TestSpanCodecRoundTrip(t *testing.T) {
 		},
 		{Name: "bare", TraceID: "aaaa", SpanID: "dddd", Start: base, Dur: time.Microsecond},
 	}
-	w := &wireWriter{}
-	encodeSpans(w, in)
-	payload := w.b.Bytes()
-	r := &wireReader{data: payload}
+	var w bytes.Buffer
+	encodeSpans(frame.NewEnc(&w), in)
+	r := frame.NewDec(w.Bytes())
 	out := decodeSpans(r)
-	if r.err != nil {
-		t.Fatal(r.err)
-	}
-	if r.off != len(payload) {
-		t.Fatalf("decode consumed %d of %d bytes", r.off, len(payload))
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
 	}
 	if len(out) != len(in) {
 		t.Fatalf("got %d spans, want %d", len(out), len(in))
@@ -61,25 +59,25 @@ func TestSpanCodecRoundTrip(t *testing.T) {
 
 	// An attribute value of an unknown Go type must degrade to its string
 	// form, not corrupt the frame.
-	w2 := &wireWriter{}
-	encodeSpans(w2, []obs.SpanEvent{{Name: "odd", Attrs: []obs.Attr{{Key: "b", Value: true}}}})
-	r2 := &wireReader{data: w2.b.Bytes()}
+	var w2 bytes.Buffer
+	encodeSpans(frame.NewEnc(&w2), []obs.SpanEvent{{Name: "odd", Attrs: []obs.Attr{{Key: "b", Value: true}}}})
+	r2 := frame.NewDec(w2.Bytes())
 	odd := decodeSpans(r2)
-	if r2.err != nil || len(odd) != 1 || odd[0].Attrs[0].Value != "true" {
-		t.Fatalf("unknown attr kind did not degrade to string: %+v err=%v", odd, r2.err)
+	if r2.Err() != nil || len(odd) != 1 || odd[0].Attrs[0].Value != "true" {
+		t.Fatalf("unknown attr kind did not degrade to string: %+v err=%v", odd, r2.Err())
 	}
 
 	// An unknown wire kind (a corrupt or future frame) must fail loudly.
-	w3 := &wireWriter{}
-	encodeSpans(w3, []obs.SpanEvent{{Name: "x", Attrs: []obs.Attr{obs.Int("k", 1)}}})
-	bad := w3.b.Bytes()
+	var w3 bytes.Buffer
+	encodeSpans(frame.NewEnc(&w3), []obs.SpanEvent{{Name: "x", Attrs: []obs.Attr{obs.Int("k", 1)}}})
+	bad := w3.Bytes()
 	// The kind word sits right after the spans' fixed fields and the attr
 	// key; patch it to garbage.
 	kindOff := len(bad) - 16 // kind + value are the last two words
 	binary.LittleEndian.PutUint64(bad[kindOff:], 99)
-	r3 := &wireReader{data: bad}
+	r3 := frame.NewDec(bad)
 	decodeSpans(r3)
-	if r3.err == nil {
+	if r3.Err() == nil {
 		t.Fatal("unknown span attribute kind accepted")
 	}
 }

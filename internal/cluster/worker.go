@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"mosaic/internal/frame"
 	"mosaic/internal/httpapi"
 	"mosaic/internal/obs"
 	"mosaic/internal/sim"
@@ -80,8 +81,8 @@ func NewWorker(cfg WorkerConfig) *Worker {
 // building the kernel set at most once per configuration. The resist
 // model arrives calibrated from the coordinator, so workers never
 // recalibrate (a recalibration could diverge and break bit-identity).
-func (w *Worker) simFor(job *tileJob) (*sim.Simulator, error) {
-	key := fmt.Sprintf("%+v|%+v", job.Optics, job.Resist)
+func (w *Worker) simFor(job *tile.Request) (*sim.Simulator, error) {
+	key := fmt.Sprintf("%+v|%+v", job.Sim.Cfg, job.Sim.Resist)
 	w.simMu.Lock()
 	e := w.sims[key]
 	if e == nil {
@@ -90,7 +91,7 @@ func (w *Worker) simFor(job *tileJob) (*sim.Simulator, error) {
 	}
 	w.simMu.Unlock()
 	e.once.Do(func() {
-		e.sim, e.err = sim.New(job.Optics, job.Resist)
+		e.sim, e.err = sim.New(job.Sim.Cfg, job.Sim.Resist)
 	})
 	return e.sim, e.err
 }
@@ -115,7 +116,7 @@ func (w *Worker) handleTile(rw http.ResponseWriter, r *http.Request) {
 		httpapi.Error(rw, http.StatusServiceUnavailable, httpapi.CodeWorkerBusy, ErrWorkerBusy.Error())
 		return
 	}
-	payload, _, err := readFrame(r.Body, magicTileJob)
+	payload, _, err := frame.Read(r.Body, magicTileJob)
 	if err != nil {
 		httpapi.Error(rw, http.StatusBadRequest, httpapi.CodeBadRequest, "reading tile job: "+err.Error())
 		return
@@ -140,11 +141,11 @@ func (w *Worker) handleTile(rw http.ResponseWriter, r *http.Request) {
 	if tc, err := obs.ParseTraceparent(r.Header.Get("Traceparent")); err == nil {
 		buf = obs.NewSpanBuffer(0)
 		ctx = obs.ContextWithRemote(ctx, tc, buf)
-		ctx, tileSpan = obs.StartSpan(ctx, "worker.tile", obs.Int("tile", job.TileIndex))
+		ctx, tileSpan = obs.StartSpan(ctx, "worker.tile", obs.Int("tile", job.Tile.Index))
 	}
 
 	start := time.Now()
-	res, err := tile.RunWindow(ctx, ws, job.Cfg, job.Layout, job.WindowPx, job.PixelNM, job.Samples)
+	res, err := tile.RunWindow(ctx, ws, job.Cfg, job.Tile.Layout, job.Plan.WindowPx, job.Plan.PixelNM, job.Samples)
 	if err != nil {
 		// The coordinator (or its lease) canceled the request mid-tile:
 		// nobody is listening for this body anyway.
@@ -152,7 +153,7 @@ func (w *Worker) handleTile(rw http.ResponseWriter, r *http.Request) {
 			httpapi.Error(rw, http.StatusServiceUnavailable, httpapi.CodeCanceled, "tile canceled: "+err.Error())
 			return
 		}
-		httpapi.Error(rw, http.StatusInternalServerError, httpapi.CodeInternal, fmt.Sprintf("optimizing tile %d: %v", job.TileIndex, err))
+		httpapi.Error(rw, http.StatusInternalServerError, httpapi.CodeInternal, fmt.Sprintf("optimizing tile %d: %v", job.Tile.Index, err))
 		return
 	}
 	var spans []obs.SpanEvent
@@ -169,26 +170,21 @@ func (w *Worker) handleTile(rw http.ResponseWriter, r *http.Request) {
 				}
 			}
 			if !hasTile {
-				attrs = append(attrs, obs.Int("tile", job.TileIndex))
+				attrs = append(attrs, obs.Int("tile", job.Tile.Index))
 			}
 			spans[i].Attrs = attrs
 		}
 	}
-	out, err := encodeTileResult(job.TileIndex, res, spans)
+	out, err := encodeTileResult(job.Tile.Index, res, spans)
 	if err != nil {
 		httpapi.Error(rw, http.StatusInternalServerError, httpapi.CodeInternal, "encoding tile result: "+err.Error())
 		return
 	}
 	mWorkerTiles.Inc()
 	obs.Logger().Info("cluster: tile optimized",
-		"tile", job.TileIndex, "window_px", job.WindowPx, "elapsed", time.Since(start).Round(time.Millisecond))
+		"tile", job.Tile.Index, "window_px", job.Plan.WindowPx, "elapsed", time.Since(start).Round(time.Millisecond))
 	rw.Header().Set("Content-Type", "application/octet-stream")
-	var frame bytes.Buffer
-	if _, err := writeFrame(&frame, magicTileResult, out); err != nil {
-		httpapi.Error(rw, http.StatusInternalServerError, httpapi.CodeInternal, "framing tile result: "+err.Error())
-		return
-	}
-	rw.Write(frame.Bytes())
+	rw.Write(frame.Append(nil, magicTileResult, out))
 }
 
 // Run joins the coordinator at coordinatorURL, advertising selfURL as

@@ -1,12 +1,9 @@
 package ilt
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"math"
 
+	"mosaic/internal/frame"
 	"mosaic/internal/grid"
 )
 
@@ -76,167 +73,85 @@ func (s *Snapshot) validate(n int) error {
 	return nil
 }
 
-// Snapshot binary format: a fixed magic/version header, the scalar state,
-// then the length-prefixed fields, followed by a CRC32 of everything
-// before it. Floats are stored as IEEE-754 bit patterns so the round trip
-// is exact — the bit-identical resume guarantee survives serialization.
-const snapMagic = "MOSNAP01"
-
-func putF64(b *bytes.Buffer, v float64) {
-	var s [8]byte
-	binary.LittleEndian.PutUint64(s[:], math.Float64bits(v))
-	b.Write(s[:])
-}
-
-func putI64(b *bytes.Buffer, v int64) {
-	var s [8]byte
-	binary.LittleEndian.PutUint64(s[:], uint64(v))
-	b.Write(s[:])
-}
-
-func putField(b *bytes.Buffer, f *grid.Field) {
-	if f == nil {
-		putI64(b, -1)
-		return
-	}
-	putI64(b, int64(f.W))
-	putI64(b, int64(f.H))
-	for _, v := range f.Data {
-		putF64(b, v)
-	}
-}
+// Snapshot binary format: one MTSN frame whose payload holds a version,
+// the scalar state, the three fields (each W, H, data; -1 for nil), then
+// the history. Floats are stored as IEEE-754 bit patterns so the round
+// trip is exact — the bit-identical resume guarantee survives
+// serialization.
+const (
+	snapMagic   uint32 = 0x4e53544d // "MTSN"
+	snapVersion        = 2          // 1 was the pre-frame MOSNAP01 layout
+)
 
 // MarshalBinary encodes the snapshot for storage (checkpoint files, the
 // job-service drain path).
 func (s *Snapshot) MarshalBinary() ([]byte, error) {
-	var b bytes.Buffer
-	b.WriteString(snapMagic)
-	putI64(&b, int64(s.Iter))
-	putF64(&b, s.Step)
-	putI64(&b, int64(s.Jumps))
-	putF64(&b, s.BestObjective)
-	putF64(&b, s.BestSurrogate)
-	putField(&b, s.P)
-	putField(&b, s.Velocity)
-	putField(&b, s.BestGray)
-	putI64(&b, int64(len(s.History)))
-	for _, st := range s.History {
-		putI64(&b, int64(st.Iter))
-		putF64(&b, st.Objective)
-		putF64(&b, st.FTarget)
-		putF64(&b, st.FPvb)
-		putF64(&b, st.GradRMS)
-		putI64(&b, int64(st.ProxyEPE))
-		putF64(&b, st.ProxyPVBandNM2)
-		putF64(&b, st.ProxyScore)
-		putI64(&b, int64(st.EPEViolations))
-		putF64(&b, st.PVBandNM2)
-		putF64(&b, st.Score)
-	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(b.Bytes()))
-	b.Write(crc[:])
-	return b.Bytes(), nil
-}
-
-type snapReader struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (r *snapReader) f64() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+8 > len(r.data) {
-		r.err = fmt.Errorf("ilt: truncated snapshot at byte %d", r.off)
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.data[r.off:]))
-	r.off += 8
-	return v
-}
-
-func (r *snapReader) i64() int64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+8 > len(r.data) {
-		r.err = fmt.Errorf("ilt: truncated snapshot at byte %d", r.off)
-		return 0
-	}
-	v := int64(binary.LittleEndian.Uint64(r.data[r.off:]))
-	r.off += 8
-	return v
-}
-
-func (r *snapReader) field() *grid.Field {
-	w := r.i64()
-	if r.err != nil || w < 0 {
+	return frame.Marshal(snapMagic, func(e *frame.Enc) error {
+		e.I64(snapVersion)
+		e.I64(int64(s.Iter))
+		e.F64(s.Step)
+		e.I64(int64(s.Jumps))
+		e.F64(s.BestObjective)
+		e.F64(s.BestSurrogate)
+		e.Field(s.P)
+		e.Field(s.Velocity)
+		e.Field(s.BestGray)
+		e.I64(int64(len(s.History)))
+		for _, st := range s.History {
+			e.I64(int64(st.Iter))
+			e.F64(st.Objective)
+			e.F64(st.FTarget)
+			e.F64(st.FPvb)
+			e.F64(st.GradRMS)
+			e.I64(int64(st.ProxyEPE))
+			e.F64(st.ProxyPVBandNM2)
+			e.F64(st.ProxyScore)
+			e.I64(int64(st.EPEViolations))
+			e.F64(st.PVBandNM2)
+			e.F64(st.Score)
+		}
 		return nil
-	}
-	h := r.i64()
-	if r.err != nil {
-		return nil
-	}
-	if w > 1<<20 || h < 0 || h > 1<<20 || r.off+8*int(w*h) > len(r.data) {
-		r.err = fmt.Errorf("ilt: snapshot field dimensions %dx%d exceed the payload", w, h)
-		return nil
-	}
-	f := grid.New(int(w), int(h))
-	for i := range f.Data {
-		f.Data[i] = r.f64()
-	}
-	return f
+	})
 }
+
+// iterStatsBytes is one encoded IterStats: eleven scalars.
+const iterStatsBytes = 11 * 8
 
 // UnmarshalBinary decodes a snapshot written by MarshalBinary, rejecting
-// corrupt or truncated payloads via the trailing CRC.
+// corrupt or truncated input via the frame CRC and bounding every count
+// by the payload before allocating.
 func (s *Snapshot) UnmarshalBinary(data []byte) error {
-	if len(data) < len(snapMagic)+4 || string(data[:len(snapMagic)]) != snapMagic {
-		return fmt.Errorf("ilt: not a snapshot (bad magic)")
+	payload, err := frame.Open(snapMagic, data)
+	if err != nil {
+		return fmt.Errorf("ilt: snapshot: %w", err)
 	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(tail) {
-		return fmt.Errorf("ilt: snapshot CRC mismatch")
-	}
-	r := &snapReader{data: body, off: len(snapMagic)}
-	s.Iter = int(r.i64())
-	s.Step = r.f64()
-	s.Jumps = int(r.i64())
-	s.BestObjective = r.f64()
-	s.BestSurrogate = r.f64()
-	s.P = r.field()
-	s.Velocity = r.field()
-	s.BestGray = r.field()
-	n := r.i64()
-	if r.err != nil {
-		return r.err
-	}
-	if n < 0 || n > 1<<24 {
-		return fmt.Errorf("ilt: snapshot history length %d is implausible", n)
-	}
-	s.History = make([]IterStats, n)
+	d := frame.NewDec(payload)
+	d.Version(snapVersion)
+	s.Iter = int(d.I64())
+	s.Step = d.F64()
+	s.Jumps = int(d.I64())
+	s.BestObjective = d.F64()
+	s.BestSurrogate = d.F64()
+	s.P = d.Field()
+	s.Velocity = d.Field()
+	s.BestGray = d.Field()
+	s.History = make([]IterStats, d.Count(iterStatsBytes))
 	for i := range s.History {
 		st := &s.History[i]
-		st.Iter = int(r.i64())
-		st.Objective = r.f64()
-		st.FTarget = r.f64()
-		st.FPvb = r.f64()
-		st.GradRMS = r.f64()
-		st.ProxyEPE = int(r.i64())
-		st.ProxyPVBandNM2 = r.f64()
-		st.ProxyScore = r.f64()
-		st.EPEViolations = int(r.i64())
-		st.PVBandNM2 = r.f64()
-		st.Score = r.f64()
+		st.Iter = int(d.I64())
+		st.Objective = d.F64()
+		st.FTarget = d.F64()
+		st.FPvb = d.F64()
+		st.GradRMS = d.F64()
+		st.ProxyEPE = int(d.I64())
+		st.ProxyPVBandNM2 = d.F64()
+		st.ProxyScore = d.F64()
+		st.EPEViolations = int(d.I64())
+		st.PVBandNM2 = d.F64()
+		st.Score = d.F64()
 	}
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(body) {
-		return fmt.Errorf("ilt: %d trailing bytes after snapshot payload", len(body)-r.off)
+	if err := d.Done(); err != nil {
+		return fmt.Errorf("ilt: snapshot: %w", err)
 	}
 	return nil
 }

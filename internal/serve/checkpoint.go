@@ -11,17 +11,20 @@ import (
 	"time"
 
 	"mosaic"
+	"mosaic/internal/frame"
 	"mosaic/internal/obs"
 )
 
 // Checkpoint layout under Config.CheckpointDir:
 //
 //	<id>.job     — JSON job metadata (spec, priority, submit time)
-//	<id>.snap    — latest ilt snapshot of an untiled run (binary, MOSNAP01)
+//	<id>.snap    — latest ilt snapshot of an untiled run (an MTSN frame)
 //	<id>.journal — tile journal of a sharded run (appended continuously)
 //
 // A drain writes .job for every queued and running job and .snap for
-// untiled running jobs; sharded jobs already journal while they run. New
+// untiled running jobs; sharded jobs already journal while they run.
+// Both are written atomically (frame.WriteFile), so a kill mid-drain
+// leaves the previous file or the new one, never a torn one. New
 // scans the directory and re-queues every .job it finds; completed tiles
 // and finished iterations are not recomputed.
 
@@ -49,14 +52,14 @@ func (s *Server) checkpointLocked(j *job) bool {
 		obs.Logger().Warn("serve: encoding checkpoint meta", "job", j.id, "err", err)
 		return false
 	}
-	if err := os.WriteFile(s.checkpointPath(j.id, ".job"), data, 0o644); err != nil {
+	if err := frame.WriteFile(s.checkpointPath(j.id, ".job"), data, true); err != nil {
 		obs.Logger().Warn("serve: writing checkpoint meta", "job", j.id, "err", err)
 		return false
 	}
 	if j.snap != nil {
 		blob, err := j.snap.MarshalBinary()
 		if err == nil {
-			err = os.WriteFile(s.checkpointPath(j.id, ".snap"), blob, 0o644)
+			err = frame.WriteFile(s.checkpointPath(j.id, ".snap"), blob, true)
 		}
 		if err != nil {
 			// The snapshot is an optimization: without it the job restarts

@@ -1,16 +1,11 @@
 package tile
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"math"
 	"os"
 	"sync"
 
-	"mosaic/internal/grid"
+	"mosaic/internal/frame"
 	"mosaic/internal/ilt"
 	"mosaic/internal/obs"
 )
@@ -59,17 +54,19 @@ func (j *MemJournal) Record(index int, res *ilt.Result) error {
 	return nil
 }
 
-// FileJournal is an append-only on-disk Journal. Each record is length-
-// framed and CRC-protected; a torn tail (the record a crashed worker was
-// mid-write on) is detected and ignored on load, so a journal survives
-// kill -9 semantics without recovery tooling.
+// FileJournal is an append-only on-disk Journal of MJRN frames (see
+// package frame). A torn tail — the record a crashed worker was mid-write
+// on — is detected on load and truncated away, so a journal survives
+// kill -9 semantics without recovery tooling and records appended after
+// a resume stay readable by the next one.
 type FileJournal struct {
 	mu   sync.Mutex
 	path string
 	f    *os.File
 }
 
-// journalMagic heads every record frame.
+// journalMagic heads every record frame. A record payload is the tile
+// index, RuntimeSec and Seeded, then the ilt result payload.
 const journalMagic uint32 = 0x4d4a524e // "MJRN"
 
 // OpenFileJournal opens (creating if absent) the journal at path for
@@ -100,38 +97,21 @@ func (j *FileJournal) Path() string { return j.path }
 // Record appends one tile result. The frame is assembled in memory and
 // written with a single Write call so concurrent appends stay whole.
 func (j *FileJournal) Record(index int, res *ilt.Result) error {
-	if res == nil || res.MaskGray == nil {
-		return fmt.Errorf("tile: journaling tile %d without a gray mask", index)
+	rec, err := frame.Marshal(journalMagic, func(e *frame.Enc) error {
+		e.I64(int64(index))
+		e.F64(res.RuntimeSec)
+		e.Bool(res.Seeded)
+		return ilt.WriteResult(e, res)
+	})
+	if err != nil {
+		return fmt.Errorf("tile: journaling tile %d: %w", index, err)
 	}
-	var payload bytes.Buffer
-	w64 := func(v uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		payload.Write(b[:])
-	}
-	w64(uint64(index))
-	w64(uint64(res.MaskGray.W))
-	w64(math.Float64bits(res.Objective))
-	w64(uint64(res.Iterations))
-	w64(math.Float64bits(res.RuntimeSec))
-	for _, v := range res.MaskGray.Data {
-		w64(math.Float64bits(v))
-	}
-
-	var frame bytes.Buffer
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:], journalMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(payload.Len()))
-	binary.LittleEndian.PutUint32(hdr[8:], crc32.ChecksumIEEE(payload.Bytes()))
-	frame.Write(hdr[:])
-	frame.Write(payload.Bytes())
-
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
 		return fmt.Errorf("tile: journal %s is closed", j.path)
 	}
-	if _, err := j.f.Write(frame.Bytes()); err != nil {
+	if _, err := j.f.Write(rec); err != nil {
 		return fmt.Errorf("tile: appending journal record: %w", err)
 	}
 	return nil
@@ -140,7 +120,8 @@ func (j *FileJournal) Record(index int, res *ilt.Result) error {
 // Load scans the journal from the start and returns every intact record
 // whose window matches the plan. Scanning stops at the first torn or
 // corrupt frame — everything after it was written during or after the
-// crash being recovered from.
+// crash being recovered from — and the file is truncated there, so the
+// records this run appends follow a clean prefix.
 func (j *FileJournal) Load(p *Plan) (map[int]*ilt.Result, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -152,62 +133,32 @@ func (j *FileJournal) Load(p *Plan) (map[int]*ilt.Result, error) {
 		return nil, fmt.Errorf("tile: reading journal: %w", err)
 	}
 	out := make(map[int]*ilt.Result)
-	off := 0
-	for off+12 <= len(data) {
-		if binary.LittleEndian.Uint32(data[off:]) != journalMagic {
-			obs.Logger().Warn("tile journal: bad record magic; ignoring tail",
-				"path", j.path, "offset", off)
-			break
-		}
-		n := int(binary.LittleEndian.Uint32(data[off+4:]))
-		crc := binary.LittleEndian.Uint32(data[off+8:])
-		if off+12+n > len(data) {
-			obs.Logger().Warn("tile journal: torn trailing record; ignoring",
-				"path", j.path, "offset", off)
-			break
-		}
-		payload := data[off+12 : off+12+n]
-		if crc32.ChecksumIEEE(payload) != crc {
-			obs.Logger().Warn("tile journal: CRC mismatch; ignoring tail",
-				"path", j.path, "offset", off)
-			break
-		}
-		idx, res, err := decodeJournalPayload(payload)
-		if err != nil {
-			obs.Logger().Warn("tile journal: undecodable record; ignoring tail",
-				"path", j.path, "offset", off, "err", err)
-			break
-		}
-		if idx >= 0 && idx < len(p.Tiles) && res.MaskGray.W == p.WindowPx {
+	valid, err := frame.Scan(data, journalMagic, func(payload []byte) error {
+		idx, res, err := decodeJournalRecord(payload)
+		if err == nil && idx >= 0 && idx < len(p.Tiles) && res.MaskGray.W == p.WindowPx {
 			out[idx] = res
 		}
-		off += 12 + n
+		return err
+	})
+	if err != nil {
+		obs.Logger().Warn("tile journal: truncating torn tail",
+			"path", j.path, "valid_bytes", valid, "dropped_bytes", len(data)-valid, "err", err)
+		if err := j.f.Truncate(int64(valid)); err != nil {
+			return nil, fmt.Errorf("tile: truncating torn journal: %w", err)
+		}
 	}
 	return out, nil
 }
 
-// decodeJournalPayload rebuilds one tile result from a record payload.
-// The binary mask is re-derived by thresholding the gray mask, exactly as
-// the optimizer produced it.
-func decodeJournalPayload(b []byte) (int, *ilt.Result, error) {
-	if len(b) < 40 {
-		return 0, nil, io.ErrUnexpectedEOF
+// decodeJournalRecord rebuilds one tile result from a record payload.
+func decodeJournalRecord(payload []byte) (int, *ilt.Result, error) {
+	d := frame.NewDec(payload)
+	idx := int(d.I64())
+	runtime, seeded := d.F64(), d.Bool()
+	res := ilt.ReadResult(d)
+	if err := d.Done(); err != nil {
+		return 0, nil, err
 	}
-	r64 := func(off int) uint64 { return binary.LittleEndian.Uint64(b[off:]) }
-	idx := int(int64(r64(0)))
-	w := int(int64(r64(8)))
-	if w <= 0 || w > 1<<16 || len(b) != 40+8*w*w {
-		return 0, nil, fmt.Errorf("payload length %d does not fit a %d px window", len(b), w)
-	}
-	res := &ilt.Result{
-		Objective:  math.Float64frombits(r64(16)),
-		Iterations: int(int64(r64(24))),
-		RuntimeSec: math.Float64frombits(r64(32)),
-		MaskGray:   grid.New(w, w),
-	}
-	for i := range res.MaskGray.Data {
-		res.MaskGray.Data[i] = math.Float64frombits(r64(40 + 8*i))
-	}
-	res.Mask = res.MaskGray.Threshold(0.5)
+	res.RuntimeSec, res.Seeded = runtime, seeded
 	return idx, res, nil
 }

@@ -98,6 +98,35 @@ func TestJournalResumeAfterCrash(t *testing.T) {
 			t.Fatal("resumed gray mask differs from uninterrupted run")
 		}
 	}
+
+	// A second crash-resume must see the records the first resume
+	// appended: they must not sit behind the torn tail, unreadable.
+	j2.Close()
+	j3, err := OpenFileJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j3.Close()
+	if all, err := j3.Load(p); err != nil || len(all) != len(p.Tiles) {
+		t.Fatalf("second resume adopted %d of %d tiles (err %v)", len(all), len(p.Tiles), err)
+	}
+	reran = 0
+	res, err = p.Optimize(context.Background(), ws, cfg, Options{
+		Workers: 1,
+		Journal: j3,
+		OnTile:  func(done, total int, _ *Tile, _ *ilt.Result) { reran++ },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reran != 0 {
+		t.Fatalf("second resume reran %d tiles, want 0", reran)
+	}
+	for i, v := range ref.MaskGray.Data {
+		if res.MaskGray.Data[i] != v {
+			t.Fatal("second resumed gray mask differs from uninterrupted run")
+		}
+	}
 }
 
 func TestJournalIgnoresMismatchedPlan(t *testing.T) {
@@ -175,5 +204,40 @@ func TestRetryRecoversTransientFault(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("persistent fault did not fail the run")
+	}
+}
+
+// TestJournalRecordKeepsRuntimeFields pins that a journaled result
+// carries RuntimeSec and Seeded across a reopen, like a cached one: a
+// resumed run's provenance must not forget that a tile was seeded.
+func TestJournalRecordKeepsRuntimeFields(t *testing.T) {
+	p := &Plan{WindowPx: 4, Tiles: make([]Tile, 2)}
+	path := filepath.Join(t.TempDir(), "tiles.journal")
+	j, err := OpenFileJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := grid.New(4, 4)
+	g.Data[5] = 0.75
+	if err := j.Record(1, &ilt.Result{MaskGray: g, Objective: 2.5, Iterations: 4, RuntimeSec: 1.25, Seeded: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Record(0, &ilt.Result{}); err == nil {
+		t.Fatal("journaled a result without a gray mask")
+	}
+	j.Close()
+	j2, err := OpenFileJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	got, err := j2.Load(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := got[1]
+	if len(got) != 1 || r == nil || !r.Seeded || r.RuntimeSec != 1.25 || r.Objective != 2.5 ||
+		r.Iterations != 4 || !r.MaskGray.Equal(g, 0) || r.Mask.Data[5] != 1 {
+		t.Fatalf("journaled result did not round trip: %+v", r)
 	}
 }

@@ -1,101 +1,51 @@
 package warmstart
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"math"
 	"os"
-	"path/filepath"
 
+	"mosaic/internal/frame"
 	"mosaic/internal/grid"
 	"mosaic/internal/obs"
 )
 
 // Library layout on disk: dir/<2-hex-digit shard>/<content key>.mwe, one
-// entry per file, in the repo's binary-frame idiom (cache MTCE, artifact
-// MTAB, journal MJRN):
+// entry per file, each a single MWLE frame (see package frame) whose
+// payload is: version, family (32 raw bytes), windowPx, pixelNM, offX,
+// offY, the signature (polys, areaFrac, wFrac, hFrac, K, descriptor),
+// then the continuous mask as IEEE-754 bit patterns.
 //
-//	[4] magic   "MWLE" (uint32 LE)
-//	[4] length  (uint32 LE; payload bytes)
-//	[4] crc32   (IEEE, over the payload)
-//	[n] payload: version, family (32 raw bytes), windowPx, pixelNM,
-//	    offX, offY, the signature (polys, areaFrac, wFrac, hFrac, K,
-//	    descriptor), then the continuous mask as IEEE-754 bit patterns
-//
-// Writes are atomic (temp file + rename); anything that fails to decode
-// is quarantined as .corrupt and the library recomputes — a damaged
-// entry costs a cold start, never a failed run.
-const (
-	libMagic uint32 = 0x454c574d // "MWLE"
+// Writes are atomic (frame.WriteFile); anything that fails to decode is
+// quarantined as .corrupt and the library recomputes — a damaged entry
+// costs a cold start, never a failed run.
+const libMagic uint32 = 0x454c574d // "MWLE"
 
-	// maxLibPayload bounds an entry before allocation, like the cluster
-	// codec's frame cap: a corrupt length field must not OOM the process.
-	maxLibPayload = 1 << 30
-)
-
-// libHeaderBytes is the payload size before the descriptor and mask:
-// version, windowPx, pixelNM, offX, offY, polys, areaFrac, wFrac, hFrac,
-// K (10 scalars) plus the 32-byte family digest.
-const libHeaderBytes = 10*8 + 32
+// encodeLibEntry frames one library entry.
+func encodeLibEntry(e *entry, pixelNM float64, mask *grid.Field) []byte {
+	data, _ := frame.Marshal(libMagic, func(enc *frame.Enc) error { // fill cannot fail
+		enc.I64(libVersion)
+		enc.Raw(e.fam[:])
+		enc.I64(int64(mask.W))
+		enc.F64(pixelNM)
+		enc.I64(int64(e.offX))
+		enc.I64(int64(e.offY))
+		enc.I64(int64(e.sig.Polys))
+		enc.F64(e.sig.AreaFrac)
+		enc.F64(e.sig.WFrac)
+		enc.F64(e.sig.HFrac)
+		enc.I64(SignatureK)
+		enc.F64s(e.sig.Desc[:])
+		enc.F64s(mask.Data)
+		return nil
+	})
+	return data
+}
 
 // writeEntry persists one library entry. Best-effort: failures are
 // logged and the entry simply stays memory-only for this process.
-func (l *Library) writeEntry(e *entry, windowPx int, pixelNM float64, mask *grid.Field) {
-	var payload bytes.Buffer
-	w64 := func(v uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		payload.Write(b[:])
-	}
-	w64(libVersion)
-	payload.Write(e.fam[:])
-	w64(uint64(windowPx))
-	w64(math.Float64bits(pixelNM))
-	w64(uint64(int64(e.offX)))
-	w64(uint64(int64(e.offY)))
-	w64(uint64(int64(e.sig.Polys)))
-	w64(math.Float64bits(e.sig.AreaFrac))
-	w64(math.Float64bits(e.sig.WFrac))
-	w64(math.Float64bits(e.sig.HFrac))
-	w64(uint64(SignatureK))
-	for _, v := range e.sig.Desc {
-		w64(math.Float64bits(v))
-	}
-	for _, v := range mask.Data {
-		w64(math.Float64bits(v))
-	}
-
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:], libMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(payload.Len()))
-	binary.LittleEndian.PutUint32(hdr[8:], crc32.ChecksumIEEE(payload.Bytes()))
-
-	path := l.entryPath(e.key)
-	shard := filepath.Dir(path)
-	if err := os.MkdirAll(shard, 0o755); err != nil {
-		obs.Logger().Warn("warmstart: creating shard dir", "dir", shard, "err", err)
-		return
-	}
-	tmp, err := os.CreateTemp(shard, ".mwe-*")
-	if err != nil {
-		obs.Logger().Warn("warmstart: creating temp entry", "dir", shard, "err", err)
-		return
-	}
-	_, werr := tmp.Write(hdr[:])
-	if werr == nil {
-		_, werr = tmp.Write(payload.Bytes())
-	}
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		obs.Logger().Warn("warmstart: writing entry", "path", path, "err", fmt.Sprint(werr, cerr))
-		return
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		obs.Logger().Warn("warmstart: installing entry", "path", path, "err", err)
+func (l *Library) writeEntry(e *entry, pixelNM float64, mask *grid.Field) {
+	if err := frame.WriteFile(l.entryPath(e.key), encodeLibEntry(e, pixelNM, mask), false); err != nil {
+		obs.Logger().Warn("warmstart: writing entry", "key", e.key, "err", err)
 	}
 }
 
@@ -106,7 +56,7 @@ func (l *Library) readMask(e *entry, windowPx int) (*grid.Field, error) {
 	if err != nil {
 		return nil, err
 	}
-	got, mask, err := decodeLibEntry(data)
+	got, _, mask, err := decodeLibEntry(data)
 	if err != nil {
 		return nil, err
 	}
@@ -119,55 +69,33 @@ func (l *Library) readMask(e *entry, windowPx int) (*grid.Field, error) {
 	return mask, nil
 }
 
-// decodeLibEntry validates one entry file and rebuilds its index record
-// and stored mask.
-func decodeLibEntry(data []byte) (*entry, *grid.Field, error) {
-	if len(data) < 12 {
-		return nil, nil, fmt.Errorf("entry is %d bytes, shorter than a frame header", len(data))
+// decodeLibEntry validates one entry file and rebuilds its index record,
+// pixel pitch and stored mask.
+func decodeLibEntry(data []byte) (*entry, float64, *grid.Field, error) {
+	payload, err := frame.Open(libMagic, data)
+	if err != nil {
+		return nil, 0, nil, err
 	}
-	if got := binary.LittleEndian.Uint32(data[0:]); got != libMagic {
-		return nil, nil, fmt.Errorf("entry magic %#x, want %#x", got, libMagic)
-	}
-	n := binary.LittleEndian.Uint32(data[4:])
-	if n > maxLibPayload || int(n) != len(data)-12 {
-		return nil, nil, fmt.Errorf("entry payload length %d does not match %d file bytes", n, len(data))
-	}
-	payload := data[12:]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[8:]) {
-		return nil, nil, fmt.Errorf("entry CRC mismatch")
-	}
-	if len(payload) < libHeaderBytes {
-		return nil, nil, fmt.Errorf("entry payload is %d bytes, shorter than its scalars", len(payload))
-	}
-	r64 := func(off int) uint64 { return binary.LittleEndian.Uint64(payload[off:]) }
-	if v := r64(0); v != libVersion {
-		return nil, nil, fmt.Errorf("entry version %d, want %d", v, libVersion)
-	}
+	d := frame.NewDec(payload)
+	d.Version(libVersion)
 	e := &entry{}
-	copy(e.fam[:], payload[8:40])
-	windowPx := int(int64(r64(40)))
-	e.offX = int(int64(r64(56)))
-	e.offY = int(int64(r64(64)))
-	e.sig.Polys = int(int64(r64(72)))
-	e.sig.AreaFrac = math.Float64frombits(r64(80))
-	e.sig.WFrac = math.Float64frombits(r64(88))
-	e.sig.HFrac = math.Float64frombits(r64(96))
-	if k := int(int64(r64(104))); k != SignatureK {
-		return nil, nil, fmt.Errorf("entry descriptor is %dx%d, this build wants %dx%d", k, k, SignatureK, SignatureK)
+	copy(e.fam[:], d.Raw(len(e.fam)))
+	windowPx := d.I64()
+	pixelNM := d.F64()
+	e.offX = int(d.I64())
+	e.offY = int(d.I64())
+	e.sig.Polys = int(d.I64())
+	e.sig.AreaFrac = d.F64()
+	e.sig.WFrac = d.F64()
+	e.sig.HFrac = d.F64()
+	if k := d.I64(); d.Err() == nil && k != SignatureK {
+		d.Fail("entry descriptor is %dx%d, this build wants %dx%d", k, k, SignatureK, SignatureK)
 	}
-	const descBytes = 8 * SignatureK * SignatureK
-	if windowPx <= 0 || windowPx > 1<<15 ||
-		len(payload) != libHeaderBytes+descBytes+8*windowPx*windowPx {
-		return nil, nil, fmt.Errorf("payload length %d does not fit a %d px window", len(payload), windowPx)
-	}
-	for i := range e.sig.Desc {
-		e.sig.Desc[i] = math.Float64frombits(r64(libHeaderBytes + 8*i))
-	}
-	mask := grid.New(windowPx, windowPx)
-	base := libHeaderBytes + descBytes
-	for i := range mask.Data {
-		mask.Data[i] = math.Float64frombits(r64(base + 8*i))
+	d.F64s(e.sig.Desc[:])
+	mask := d.Grid(windowPx, windowPx)
+	if err := d.Done(); err != nil {
+		return nil, 0, nil, err
 	}
 	e.key = entryKey(e.fam, &e.sig)
-	return e, mask, nil
+	return e, pixelNM, mask, nil
 }

@@ -2,22 +2,20 @@ package warmstart
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"hash"
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 
+	"mosaic/internal/frame"
 	"mosaic/internal/geom"
 	"mosaic/internal/grid"
 	"mosaic/internal/ilt"
 	"mosaic/internal/obs"
 	"mosaic/internal/sim"
+	"mosaic/internal/tile"
 )
 
 // libVersion is folded into every family digest and entry frame. Bump it
@@ -43,81 +41,17 @@ type Family [sha256.Size]byte
 // String renders the family digest as lowercase hex.
 func (f Family) String() string { return hex.EncodeToString(f[:]) }
 
-// FamilyKey digests the configuration the same way cache.RequestKey
-// does (8-byte LE scalars, IEEE-754 bit patterns), minus the geometry,
-// samples, and any warm-start seed already attached.
+// FamilyKey digests the library version and the process configuration
+// (tile.WriteProcess, the same writer behind cache.RequestKey) — but not
+// the geometry, samples, or any warm-start seed already attached.
 func FamilyKey(ws *sim.Simulator, windowPx int, pixelNM float64, cfg ilt.Config) Family {
-	d := newDigest()
-	d.i64(libVersion)
-	d.i64(int64(windowPx))
-	d.f64(pixelNM)
-
-	oc := ws.Cfg
-	d.f64(oc.WavelengthNM)
-	d.f64(oc.NA)
-	d.f64(oc.SigmaIn)
-	d.f64(oc.SigmaOut)
-	d.f64(oc.PixelNM)
-	d.i64(int64(oc.GridSize))
-	d.i64(int64(oc.Kernels))
-
-	d.f64(ws.Resist.Threshold)
-	d.f64(ws.Resist.ThetaZ)
-
-	d.i64(int64(cfg.Mode))
-	d.f64(cfg.Alpha)
-	d.f64(cfg.Beta)
-	d.f64(cfg.Gamma)
-	d.f64(cfg.SmoothWeight)
-	d.f64(cfg.ThetaM)
-	d.f64(cfg.ThetaEPE)
-	d.f64(cfg.StepSize)
-	d.f64(cfg.StepDecay)
-	d.f64(cfg.Momentum)
-	d.i64(int64(cfg.MaxIter))
-	d.f64(cfg.GradTol)
-	d.i64(int64(cfg.Jumps))
-	d.f64(cfg.JumpFactor)
-	d.boolean(cfg.SRAFInit)
-	d.f64(cfg.SRAFRules.BiasNM)
-	d.f64(cfg.SRAFRules.SRAFDistNM)
-	d.f64(cfg.SRAFRules.SRAFWidthNM)
-	d.f64(cfg.SRAFRules.SRAFMinLenNM)
-	d.i64(int64(cfg.GradKernels))
-	d.f64(cfg.EPEThresholdNM)
-	d.f64(cfg.EPESampleNM)
-	d.f64(cfg.DefocusNM)
-	d.f64(cfg.DoseDelta)
-	return Family(d.sum())
-}
-
-// digester mirrors the cache package's canonical encoder.
-type digester struct{ h hash.Hash }
-
-func newDigest() *digester { return &digester{h: sha256.New()} }
-
-func (d *digester) i64(v int64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(v))
-	d.h.Write(b[:])
-}
-
-func (d *digester) f64(v float64) { d.i64(int64(math.Float64bits(v))) }
-
-func (d *digester) boolean(v bool) {
-	if v {
-		d.i64(1)
-	} else {
-		d.i64(0)
-	}
-}
-
-func (d *digester) raw(b []byte) { d.h.Write(b) }
-
-func (d *digester) sum() [sha256.Size]byte {
-	var k [sha256.Size]byte
-	copy(k[:], d.h.Sum(nil))
-	return k
+	h := sha256.New()
+	e := frame.NewEnc(h)
+	e.I64(libVersion)
+	tile.WriteProcess(e, windowPx, pixelNM, ws, &cfg)
+	var f Family
+	h.Sum(f[:0])
+	return f
 }
 
 // entryKey content-addresses one library entry: family plus the
@@ -125,17 +59,15 @@ func (d *digester) sum() [sha256.Size]byte {
 // excluded, so translated repeats of one pattern dedup to a single
 // stored mask.
 func entryKey(fam Family, sig *Signature) string {
-	d := newDigest()
-	d.raw(fam[:])
-	for _, v := range sig.Desc {
-		d.f64(v)
-	}
-	d.f64(sig.AreaFrac)
-	d.i64(int64(sig.Polys))
-	d.f64(sig.WFrac)
-	d.f64(sig.HFrac)
-	k := d.sum()
-	return hex.EncodeToString(k[:])
+	h := sha256.New()
+	e := frame.NewEnc(h)
+	e.Raw(fam[:])
+	e.F64s(sig.Desc[:])
+	e.F64(sig.AreaFrac)
+	e.I64(int64(sig.Polys))
+	e.F64(sig.WFrac)
+	e.F64(sig.HFrac)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Options configures a Library.
@@ -260,48 +192,27 @@ func Open(opts Options) (*Library, error) {
 // match their filename — are quarantined, exactly like the tile cache's
 // disk tier. Scan order is deterministic (sorted directory listings).
 func (l *Library) load() {
-	shards, err := os.ReadDir(l.dir)
-	if err != nil {
-		return
-	}
-	for _, sh := range shards {
-		if !sh.IsDir() || len(sh.Name()) != 2 {
-			continue
-		}
-		files, err := os.ReadDir(filepath.Join(l.dir, sh.Name()))
+	for _, path := range frame.ShardFiles(l.dir, ".mwe") {
+		data, err := os.ReadFile(path)
 		if err != nil {
 			continue
 		}
-		names := make([]string, 0, len(files))
-		for _, f := range files {
-			if strings.HasSuffix(f.Name(), ".mwe") {
-				names = append(names, f.Name())
-			}
+		e, _, _, err := decodeLibEntry(data)
+		if err == nil && e.key+".mwe" != filepath.Base(path) {
+			err = fmt.Errorf("entry content digest %s does not match filename", e.key)
 		}
-		sort.Strings(names)
-		for _, name := range names {
-			path := filepath.Join(l.dir, sh.Name(), name)
-			data, err := os.ReadFile(path)
-			if err != nil {
-				continue
-			}
-			e, _, err := decodeLibEntry(data)
-			if err == nil && e.key+".mwe" != name {
-				err = fmt.Errorf("entry content digest %s does not match filename", e.key)
-			}
-			if err != nil {
-				l.quarantine(path, err)
-				continue
-			}
-			l.mu.Lock()
-			if !l.keys[e.key] {
-				l.keys[e.key] = true
-				l.seq++
-				e.seq = l.seq
-				l.byFam[e.fam] = append(l.byFam[e.fam], e)
-			}
-			l.mu.Unlock()
+		if err != nil {
+			l.quarantine(path, err)
+			continue
 		}
+		l.mu.Lock()
+		if !l.keys[e.key] {
+			l.keys[e.key] = true
+			l.seq++
+			e.seq = l.seq
+			l.byFam[e.fam] = append(l.byFam[e.fam], e)
+		}
+		l.mu.Unlock()
 	}
 }
 
@@ -373,13 +284,11 @@ func (l *Library) quarantine(path string, cause error) {
 	l.mu.Unlock()
 	mCorrupt.Inc()
 	obs.Logger().Warn("warmstart: quarantining corrupt entry", "path", path, "err", cause)
-	if err := os.Rename(path, path+".corrupt"); err != nil {
-		os.Remove(path)
-	}
+	frame.Quarantine(path)
 }
 
 func (l *Library) entryPath(key string) string {
-	return filepath.Join(l.dir, key[:2], key+".mwe")
+	return frame.ShardPath(l.dir, key, ".mwe")
 }
 
 // Attempt tracks one window's warm-start lifecycle from lookup to
@@ -472,14 +381,14 @@ func (a *Attempt) Finish(res *ilt.Result) {
 		mColdIters.Observe(float64(res.Iterations))
 	}
 	if res.MaskGray != nil && res.MaskGray.W == a.windowPx && res.MaskGray.H == a.windowPx {
-		a.lib.harvestEntry(a.fam, a.sig, a.offX, a.offY, a.windowPx, a.pixelNM, res.MaskGray)
+		a.lib.harvestEntry(a.fam, a.sig, a.offX, a.offY, a.pixelNM, res.MaskGray)
 	}
 }
 
 // harvestEntry records one (signature -> mask) pair, deduping by content
 // key. The index gains the entry immediately; the disk write is
 // best-effort (a failed write costs a later miss, never an error).
-func (l *Library) harvestEntry(fam Family, sig *Signature, offX, offY, windowPx int, pixelNM float64, mask *grid.Field) {
+func (l *Library) harvestEntry(fam Family, sig *Signature, offX, offY int, pixelNM float64, mask *grid.Field) {
 	if !l.harvest {
 		return
 	}
@@ -496,5 +405,5 @@ func (l *Library) harvestEntry(fam Family, sig *Signature, offX, offY, windowPx 
 	l.stats.Harvested++
 	l.mu.Unlock()
 	mHarvested.Inc()
-	l.writeEntry(e, windowPx, pixelNM, mask)
+	l.writeEntry(e, pixelNM, mask)
 }
