@@ -76,10 +76,11 @@ fuzz-smoke:
 		done; \
 	done
 
-# bench runs the paper-table and convolution-engine benchmarks and archives
-# both a benchstat-compatible text file and a JSON rendering under results/,
-# stamped with today's date.
-BENCH_PATTERN ?= Table2|Table3|Convolve|Smooth|TilePipeline|TileCache|WarmStart
+# bench runs the paper-table, convolution-engine and per-layer micro
+# benchmarks (forward SOCS imaging, one descent iteration, rasterization)
+# and archives both a benchstat-compatible text file and a JSON rendering
+# under results/, stamped with today's date.
+BENCH_PATTERN ?= Table2|Table3|Convolve|Smooth|TilePipeline|TileCache|WarmStart|MicroForwardSOCS|MicroIteration|MicroRasterize
 BENCH_TIME ?= 1s
 BENCH_STAMP := $(shell date +%Y%m%d)
 

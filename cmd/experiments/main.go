@@ -199,14 +199,18 @@ func (h *harness) fig4() error {
 	mask := layout.Rasterize(h.grid, h.px)
 	corners := sim.ProcessCorners(h.setup.Params.DefocusNM, h.setup.Params.DoseDelta)
 	printed := make([]*grid.Field, len(corners))
-	for i, c := range corners {
-		aerial, err := h.setup.Sim.Aerial(mask, c)
+	// Dose only rescales intensity, so each defocus is imaged once.
+	for _, f := range sim.GroupByFocus(corners) {
+		aerial, err := h.setup.Sim.Aerial(mask, corners[f.Index[0]])
 		if err != nil {
 			return err
 		}
-		printed[i] = h.setup.Sim.PrintHard(aerial, c)
-		if err := render.SaveField(h.path("fig4", "printed_"+c.Name+".png"), printed[i]); err != nil {
-			return err
+		for _, i := range f.Index {
+			c := corners[i]
+			printed[i] = h.setup.Sim.PrintHard(aerial, c)
+			if err := render.SaveField(h.path("fig4", "printed_"+c.Name+".png"), printed[i]); err != nil {
+				return err
+			}
 		}
 	}
 	band, _ := metrics.PVBand(printed, h.px)

@@ -72,17 +72,22 @@ func main() {
 	params := mosaic.DefaultEvalParams()
 	corners := sim.ProcessCorners(params.DefocusNM, params.DoseDelta)
 	printed := make([]*grid.Field, len(corners))
-	for i, c := range corners {
-		aerial, z, err := setup.Sim.Simulate(mask, c)
+	// Dose only rescales intensity, so each defocus is imaged once; every
+	// corner still gets its own aerial_/printed_ pair.
+	for _, f := range sim.GroupByFocus(corners) {
+		aerial, err := setup.Sim.Aerial(mask, corners[f.Index[0]])
 		if err != nil {
 			log.Fatal(err)
 		}
-		printed[i] = z
-		if err := render.SaveField(filepath.Join(*out, "aerial_"+c.Name+".png"), aerial); err != nil {
-			log.Fatal(err)
-		}
-		if err := render.SaveField(filepath.Join(*out, "printed_"+c.Name+".png"), z); err != nil {
-			log.Fatal(err)
+		for _, i := range f.Index {
+			c := corners[i]
+			printed[i] = setup.Sim.PrintHard(aerial, c)
+			if err := render.SaveField(filepath.Join(*out, "aerial_"+c.Name+".png"), aerial); err != nil {
+				log.Fatal(err)
+			}
+			if err := render.SaveField(filepath.Join(*out, "printed_"+c.Name+".png"), printed[i]); err != nil {
+				log.Fatal(err)
+			}
 		}
 	}
 	band, area := metrics.PVBand(printed, cfg.PixelNM)

@@ -61,8 +61,8 @@ func TestRequestKeyGolden(t *testing.T) {
 		seeded bool
 		want   string
 	}{
-		{"cold", false, "15ab7169b18327e7a28e9fa1ccc546915618215200aa385c8b0bf8fd4e37d2aa"},
-		{"seeded", true, "11e3b43b7ad240ac43d9c1c240c0dc86e6fc1e76fde3a0ab92d2396d88ecc4d4"},
+		{"cold", false, "15ed040d2d52e4f8887652dedc4bd3d627869c430f7ad37b90b3c71a3227a8f1"},
+		{"seeded", true, "a700360d0009e96fdd6e289df488e5f6afa8b55d9479da9997188935d17b69c3"},
 	} {
 		if got := RequestKey(goldenReq(tc.seeded)).String(); got != tc.want {
 			t.Errorf("%s RequestKey = %s, want %s", tc.name, got, tc.want)

@@ -3,6 +3,7 @@ package ilt
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"mosaic/internal/fft"
 	"mosaic/internal/geom"
@@ -14,29 +15,56 @@ import (
 	"mosaic/internal/sim"
 )
 
-// cornerModel bundles a process corner with the kernel stack the descent
-// loop images through: either the single Eq. 21 combined kernel or the
-// top-GradKernels SOCS kernels with weights renormalized to unit
-// open-frame intensity (so the resist threshold keeps its meaning under
-// truncation).
-type cornerModel struct {
-	c       sim.Corner
-	k       int // frequency block half-width
+// focusModel bundles the process corners that share one defocus with the
+// kernel stack the descent loop images them through: either the single
+// Eq. 21 combined kernel or the top-GradKernels SOCS kernels with weights
+// renormalized to unit open-frame intensity (so the resist threshold keeps
+// its meaning under truncation). Dose only rescales intensity at the
+// resist step, so the focus is imaged once and printed per corner.
+type focusModel struct {
+	corners []sim.Corner // in corner-set order
+	index   []int        // the corners' positions in the corner set
+	k       int          // frequency block half-width
 	freqs   []*grid.CField
 	weights []float64
 }
 
-// buildCornerModel resolves the gradient kernel stack for one corner.
-func (o *Optimizer) buildCornerModel(c sim.Corner) (cornerModel, error) {
-	ks, err := o.Sim.Kernels(c.DefocusNM)
-	if err != nil {
-		return cornerModel{}, err
+// buildModels groups the optimizer's corners by focus (sim.GroupByFocus)
+// and resolves each focus's gradient kernel stack. The builds are
+// independent (the kernel cache is single-flight per defocus), so
+// cold-cache construction overlaps across foci.
+func (o *Optimizer) buildModels() ([]focusModel, error) {
+	corners := o.corners()
+	foci := sim.GroupByFocus(corners)
+	models := make([]focusModel, len(foci))
+	errs := make([]error, len(foci))
+	par.For(len(foci), func(fi int) {
+		m := focusModel{index: foci[fi].Index}
+		for _, ci := range m.index {
+			m.corners = append(m.corners, corners[ci])
+		}
+		errs[fi] = o.resolveKernels(&m, foci[fi].DefocusNM)
+		models[fi] = m
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
-	m := cornerModel{c: c, k: ks.K}
+	return models, nil
+}
+
+// resolveKernels fills m's kernel stack for one defocus.
+func (o *Optimizer) resolveKernels(m *focusModel, defocusNM float64) error {
+	ks, err := o.Sim.Kernels(defocusNM)
+	if err != nil {
+		return err
+	}
+	m.k = ks.K
 	if o.Cfg.GradKernels <= 0 {
 		m.freqs = []*grid.CField{ks.Combined()}
 		m.weights = []float64{1}
-		return m, nil
+		return nil
 	}
 	n := o.Cfg.GradKernels
 	if n > len(ks.Freqs) {
@@ -50,21 +78,20 @@ func (o *Optimizer) buildCornerModel(c sim.Corner) (cornerModel, error) {
 		dc += ks.Weights[i] * (real(v)*real(v) + imag(v)*imag(v))
 	}
 	if dc <= 0 {
-		return cornerModel{}, fmt.Errorf("ilt: truncated kernel stack has zero open-frame intensity")
+		return fmt.Errorf("ilt: truncated kernel stack has zero open-frame intensity")
 	}
 	m.weights = make([]float64, n)
 	for i := 0; i < n; i++ {
 		m.weights[i] = ks.Weights[i] / dc
 	}
-	return m, nil
+	return nil
 }
 
-// cornerState is the forward state at one corner for the current mask.
-type cornerState struct {
-	model  cornerModel
+// focusState is the forward state at one focus for the current mask.
+type focusState struct {
+	model  *focusModel
 	fields []*grid.CField // A_k = M conv h_k, one per gradient kernel
-	i      *grid.Field    // aerial intensity (before dose)
-	z      *grid.Field    // sigmoid printed pattern (Eq. 4, dose applied)
+	i      *grid.Field    // aerial intensity (before dose), shared by the focus's corners
 }
 
 // iterState is everything the objective and gradient share in one
@@ -72,8 +99,9 @@ type cornerState struct {
 // pool; release returns them once the iteration is done with the state.
 type iterState struct {
 	specBand *grid.CField // band-limited FFT of the current mask
-	corners  []cornerState
-	epeW     *grid.Field // exact mode: dF_epe/dD per pixel (weight-map form of Eq. 14)
+	foci     []focusState
+	z        []*grid.Field // sigmoid printed pattern per corner (Eq. 4, dose applied), corner-set order
+	epeW     *grid.Field   // exact mode: dF_epe/dD per pixel (weight-map form of Eq. 14)
 
 	objective float64
 	fTarget   float64
@@ -82,25 +110,27 @@ type iterState struct {
 }
 
 // release returns every pooled buffer held by the state to the workspace
-// pool. The state must not be used afterwards.
+// pool, each exactly once. The state must not be used afterwards.
 func (st *iterState) release() {
 	if st.specBand != nil {
 		grid.PutC(st.specBand)
 		st.specBand = nil
 	}
-	for i := range st.corners {
-		cs := &st.corners[i]
-		for _, f := range cs.fields {
+	for i := range st.foci {
+		fs := &st.foci[i]
+		for _, f := range fs.fields {
 			grid.PutC(f)
 		}
-		cs.fields = nil
-		if cs.i != nil {
-			grid.Put(cs.i)
-			cs.i = nil
+		fs.fields = nil
+		if fs.i != nil {
+			grid.Put(fs.i)
+			fs.i = nil
 		}
-		if cs.z != nil {
-			grid.Put(cs.z)
-			cs.z = nil
+	}
+	for i, z := range st.z {
+		if z != nil {
+			grid.Put(z)
+			st.z[i] = nil
 		}
 	}
 	if st.epeW != nil {
@@ -109,46 +139,59 @@ func (st *iterState) release() {
 	}
 }
 
-// evalState runs the forward model at every corner and evaluates the
-// objective of the configured mode.
-func (o *Optimizer) evalState(mask *grid.Field, models []cornerModel, target *grid.Field, samples []geom.Sample) *iterState {
-	// All corner models share the optics configuration, hence the same
-	// frequency block half-width. The per-corner forward passes are
+// spanLabel names a focus's forward span after its corners
+// ("ilt.forward.inner_outer"); unnamed ad-hoc corners read "custom".
+func (m *focusModel) spanLabel() string {
+	names := make([]string, len(m.corners))
+	for i, c := range m.corners {
+		names[i] = c.Name
+		if names[i] == "" {
+			names[i] = "custom"
+		}
+	}
+	return strings.Join(names, "_")
+}
+
+// evalState runs the forward model once per focus, prints every corner
+// from its focus's shared intensity, and evaluates the objective of the
+// configured mode.
+func (o *Optimizer) evalState(mask *grid.Field, models []focusModel, target *grid.Field, samples []geom.Sample) *iterState {
+	// All focus models share the optics configuration, hence the same
+	// frequency block half-width. The per-focus forward passes are
 	// independent (they only read the shared mask spectrum) and each writes
-	// its own pre-sized slot, so the corners run concurrently; the serial
+	// its own pre-sized slots, so the foci run concurrently; the serial
 	// objective summation below keeps the floating-point order — and hence
 	// the result — deterministic.
 	st := &iterState{specBand: o.Sim.SpectrumBand(mask, models[0].k)}
-	st.corners = make([]cornerState, len(models))
+	st.foci = make([]focusState, len(models))
+	st.z = make([]*grid.Field, len(o.corners()))
 	par.For(len(models), func(mi int) {
-		m := models[mi]
-		label := m.c.Name
-		if label == "" {
-			label = "custom"
-		}
-		csp := obs.Span("ilt.forward." + label)
-		cs := cornerState{model: m, i: grid.Get(mask.W, mask.H).Zero()}
-		cs.fields = make([]*grid.CField, len(m.freqs))
+		m := &models[mi]
+		fsp := obs.Span("ilt.forward." + m.spanLabel())
+		fs := focusState{model: m, i: grid.Get(mask.W, mask.H).Zero()}
+		fs.fields = make([]*grid.CField, len(m.freqs))
 		par.For(len(m.freqs), func(ki int) {
-			cs.fields[ki] = o.Sim.FieldFromSpectrumBand(st.specBand, m.freqs[ki], m.k)
+			fs.fields[ki] = o.Sim.FieldFromSpectrumBand(st.specBand, m.freqs[ki], m.k)
 		})
-		for ki, f := range cs.fields {
-			f.AccumAbs2(cs.i, m.weights[ki])
+		for ki, f := range fs.fields {
+			f.AccumAbs2(fs.i, m.weights[ki])
 		}
-		cs.z = o.Sim.Resist.PrintSigmoidInto(grid.Get(mask.W, mask.H), cs.i, m.c.Dose)
-		st.corners[mi] = cs
-		csp.End()
+		for j, c := range m.corners {
+			st.z[m.index[j]] = o.Sim.Resist.PrintSigmoidInto(grid.Get(mask.W, mask.H), fs.i, c.Dose)
+		}
+		st.foci[mi] = fs
+		fsp.End()
 	})
 
-	zNom := st.corners[0].z
+	zNom := st.z[0]
 	switch o.Cfg.Mode {
 	case ModeFast:
 		st.fTarget = o.idObjective(zNom, target)
 	case ModeExact:
 		st.fTarget, st.epeW = o.epeObjective(zNom, target, samples)
 	}
-	for _, cs := range st.corners[1:] {
-		st.fPvb += o.pvbTerm(cs.z, target)
+	for _, z := range st.z[1:] {
+		st.fPvb += o.pvbTerm(z, target)
 	}
 	st.objective = o.Cfg.Alpha*st.fTarget + o.Cfg.Beta*st.fPvb
 	if o.Cfg.SmoothWeight > 0 {
@@ -319,11 +362,13 @@ func (o *Optimizer) epeObjective(z, target *grid.Field, samples []geom.Sample) (
 func (o *Optimizer) proxyMetrics(st *iterState, samples []geom.Sample) (epe int, pvbNM2 float64) {
 	px := o.Sim.Cfg.PixelNM
 	mp := o.metricParams()
-	res := metrics.MeasureEPE(st.corners[0].i, 1, o.Sim.Resist.Threshold, px, samples, mp)
+	res := metrics.MeasureEPE(st.foci[0].i, 1, o.Sim.Resist.Threshold, px, samples, mp)
 	epe = metrics.CountViolations(res)
-	printed := make([]*grid.Field, len(st.corners))
-	for i, cs := range st.corners {
-		printed[i] = o.Sim.Resist.PrintInto(grid.Get(cs.i.W, cs.i.H), cs.i, cs.model.c.Dose)
+	printed := make([]*grid.Field, len(st.z))
+	for _, fs := range st.foci {
+		for j, c := range fs.model.corners {
+			printed[fs.model.index[j]] = o.Sim.Resist.PrintInto(grid.Get(fs.i.W, fs.i.H), fs.i, c.Dose)
+		}
 	}
 	_, pvbNM2 = metrics.PVBand(printed, px)
 	for _, p := range printed {
@@ -342,100 +387,113 @@ func (o *Optimizer) proxyMetrics(st *iterState, samples []geom.Sample) (epe int,
 //	W_c   = dF/dZ_c * theta_Z * Z_c(1-Z_c) * dose_c
 //
 // which is exactly the closed forms of Eq. 14/15 (exact mode, with the EPE
-// weight map folded into dF/dZ) and Eq. 17 (fast mode). The correlation is
+// weight map folded into dF/dZ) and Eq. 17 (fast mode). Corners at one
+// focus share H and A, and the adjoint is linear in W, so each focus runs
+// one adjoint pass on W_f = sum of its corners' W_c. The correlation is
 // evaluated in the frequency domain using the same band-limited kernels.
-func (o *Optimizer) gradient(st *iterState, mask *grid.Field, models []cornerModel, target *grid.Field, samples []geom.Sample) *grid.Field {
-	cfg := o.Cfg
-	thetaZ := o.Sim.Resist.ThetaZ
+func (o *Optimizer) gradient(st *iterState, mask *grid.Field, target *grid.Field) *grid.Field {
 	// The returned gradient comes from the workspace pool; runRaster
 	// releases it at the end of the iteration.
 	grad := grid.Get(mask.W, mask.H).Zero()
-
-	for ci, cs := range st.corners {
-		if ci == 0 && cfg.Alpha == 0 {
-			continue
+	for fi := range st.foci {
+		fs := &st.foci[fi]
+		if w := o.focusWeight(st, fs.model, target); w != nil {
+			adjoint(grad, fs, w)
+			grid.Put(w)
 		}
-		if ci > 0 && cfg.Beta == 0 {
-			continue
-		}
-		// dF/dZ_c for this corner (fully overwritten below, no zeroing).
-		dFdZ := grid.Get(mask.W, mask.H)
-		if ci == 0 {
-			switch cfg.Mode {
-			case ModeFast:
-				g := int(cfg.Gamma)
-				for i, v := range cs.z.Data {
-					dFdZ.Data[i] = cfg.Alpha * float64(g) * ipow(v-target.Data[i], g-1)
-				}
-			case ModeExact:
-				for i, v := range cs.z.Data {
-					dFdZ.Data[i] = cfg.Alpha * st.epeW.Data[i] * 2 * (v - target.Data[i])
-				}
-			}
-		} else {
-			for i, v := range cs.z.Data {
-				dFdZ.Data[i] = cfg.Beta * 2 * (v - target.Data[i])
-			}
-		}
-		// W_c = dF/dZ * theta_Z * Z(1-Z) * dose.
-		dose := cs.model.c.Dose
-		for i, zv := range cs.z.Data {
-			dFdZ.Data[i] *= thetaZ * zv * (1 - zv) * dose
-		}
-
-		// Adjoint pass. Each kernel contributes
-		//   2*w_ki * Re{ IFFT( conj(Kf_ki) . FFT(W .* A_ki) ) }
-		// and the inverse transform is linear, so the per-kernel band
-		// blocks accumulate in the frequency domain and ONE pruned inverse
-		// per corner replaces one per kernel — with GradKernels=8 and
-		// three corners that cuts the iteration's inverse transforms from
-		// 24 to 3. Each worker chunk keeps its forward scratch and partial
-		// band block resident across its kernels (no pool round-trips per
-		// kernel), and the tiny partials merge serially in chunk order, so
-		// the reduction is bit-deterministic regardless of scheduling.
-		k := cs.model.k
-		bw := 2*k + 1
-		n := mask.W
-		parts := make([]*grid.CField, len(cs.model.freqs)) // indexed by chunk lo
-		par.ForChunks(len(cs.model.freqs), func(lo, hi int) {
-			term := grid.GetC(n, n)
-			blk := grid.GetC(bw, bw)
-			part := grid.GetC(bw, bw).Zero()
-			for ki := lo; ki < hi; ki++ {
-				for i, av := range cs.fields[ki].Data {
-					term.Data[i] = av * complex(dFdZ.Data[i], 0)
-				}
-				fft.ForwardBandLimited(term, k, blk) // term becomes scratch
-				scale := complex(2*cs.model.weights[ki], 0)
-				for i, kv := range cs.model.freqs[ki].Data {
-					part.Data[i] += blk.Data[i] * complex(real(kv), -imag(kv)) * scale
-				}
-			}
-			grid.PutC(blk)
-			grid.PutC(term)
-			parts[lo] = part
-		})
-		cornerBlk := grid.GetC(bw, bw).Zero()
-		for _, part := range parts {
-			if part == nil {
-				continue
-			}
-			cornerBlk.AddC(part)
-			grid.PutC(part)
-		}
-		field := grid.GetC(n, n)
-		fft.InverseBandLimited(cornerBlk, n, n, field)
-		grid.PutC(cornerBlk)
-		for i, v := range field.Data {
-			grad.Data[i] += real(v)
-		}
-		grid.PutC(field)
-		grid.Put(dFdZ)
 	}
-	if cfg.SmoothWeight > 0 {
-		smoothGradient(grad, mask, cfg.SmoothWeight)
+	if o.Cfg.SmoothWeight > 0 {
+		smoothGradient(grad, mask, o.Cfg.SmoothWeight)
 	}
 	return grad
+}
+
+// focusWeight sums W_c over the focus's corners in corner-set order and
+// returns the pooled W_f, or nil when every corner's term is switched off
+// (Alpha == 0 drops the nominal target term, Beta == 0 the PV-band terms).
+func (o *Optimizer) focusWeight(st *iterState, m *focusModel, target *grid.Field) *grid.Field {
+	cfg := o.Cfg
+	thetaZ := o.Sim.Resist.ThetaZ
+	var w *grid.Field
+	for j, c := range m.corners {
+		ci := m.index[j]
+		if (ci == 0 && cfg.Alpha == 0) || (ci > 0 && cfg.Beta == 0) {
+			continue
+		}
+		z := st.z[ci]
+		if w == nil {
+			w = grid.Get(z.W, z.H).Zero()
+		}
+		// W_c = dF/dZ_c * theta_Z * Z(1-Z) * dose, accumulated into W_f.
+		dose := c.Dose
+		switch {
+		case ci > 0:
+			for i, v := range z.Data {
+				w.Data[i] += cfg.Beta * 2 * (v - target.Data[i]) * (thetaZ * v * (1 - v) * dose)
+			}
+		case cfg.Mode == ModeFast:
+			g := int(cfg.Gamma)
+			for i, v := range z.Data {
+				w.Data[i] += cfg.Alpha * float64(g) * ipow(v-target.Data[i], g-1) * (thetaZ * v * (1 - v) * dose)
+			}
+		case cfg.Mode == ModeExact:
+			for i, v := range z.Data {
+				w.Data[i] += cfg.Alpha * st.epeW.Data[i] * 2 * (v - target.Data[i]) * (thetaZ * v * (1 - v) * dose)
+			}
+		}
+	}
+	return w
+}
+
+// adjoint accumulates one focus's gradient contribution into grad. Each
+// kernel contributes
+//
+//	2*w_ki * Re{ IFFT( conj(Kf_ki) . FFT(W_f .* A_ki) ) }
+//
+// and the inverse transform is linear, so the per-kernel band blocks
+// accumulate in the frequency domain and ONE pruned inverse per focus
+// replaces one per kernel. Each worker chunk keeps its forward scratch and
+// partial band block resident across its kernels (no pool round-trips per
+// kernel), and the tiny partials merge serially in chunk order, so the
+// reduction is bit-deterministic regardless of scheduling.
+func adjoint(grad *grid.Field, fs *focusState, w *grid.Field) {
+	m := fs.model
+	bw := 2*m.k + 1
+	n := grad.W
+	parts := make([]*grid.CField, len(m.freqs)) // indexed by chunk lo
+	par.ForChunks(len(m.freqs), func(lo, hi int) {
+		term := grid.GetC(n, n)
+		blk := grid.GetC(bw, bw)
+		part := grid.GetC(bw, bw).Zero()
+		for ki := lo; ki < hi; ki++ {
+			for i, av := range fs.fields[ki].Data {
+				term.Data[i] = av * complex(w.Data[i], 0)
+			}
+			fft.ForwardBandLimited(term, m.k, blk) // term becomes scratch
+			scale := complex(2*m.weights[ki], 0)
+			for i, kv := range m.freqs[ki].Data {
+				part.Data[i] += blk.Data[i] * complex(real(kv), -imag(kv)) * scale
+			}
+		}
+		grid.PutC(blk)
+		grid.PutC(term)
+		parts[lo] = part
+	})
+	focusBlk := grid.GetC(bw, bw).Zero()
+	for _, part := range parts {
+		if part == nil {
+			continue
+		}
+		focusBlk.AddC(part)
+		grid.PutC(part)
+	}
+	field := grid.GetC(n, n)
+	fft.InverseBandLimited(focusBlk, n, n, field)
+	grid.PutC(focusBlk)
+	for i, v := range field.Data {
+		grad.Data[i] += real(v)
+	}
+	grid.PutC(field)
 }
 
 // ipow computes x^k for small non-negative integer k.

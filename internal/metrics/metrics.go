@@ -205,7 +205,9 @@ type Report struct {
 }
 
 // AerialFunc produces the aerial image of a mask at one process corner.
-// Evaluation is expressed against it so the metrics stay agnostic of how
+// Like sim.Simulator.Aerial it must not apply the corner's dose: the image
+// depends on the defocus alone, and evaluation reuses it for every corner
+// at that defocus. Evaluation is expressed against it so the metrics stay agnostic of how
 // the image is formed — a plain simulator whose grid covers the mask, or
 // the tile pipeline's stitched full-layout simulation.
 type AerialFunc func(mask *grid.Field, c sim.Corner) (*grid.Field, error)
@@ -219,37 +221,45 @@ func Evaluate(s *sim.Simulator, mask *grid.Field, layout *geom.Layout, p Params,
 }
 
 // EvaluateCtx is Evaluate under a context: cancellation is honored between
-// process-corner simulations, so a canceled evaluation stops within one
-// corner's worth of work.
+// simulations, so a canceled evaluation stops within one focus's worth of
+// work.
 func EvaluateCtx(ctx context.Context, s *sim.Simulator, mask *grid.Field, layout *geom.Layout, p Params, runtimeSec float64) (*Report, error) {
 	return EvaluateWithCtx(ctx, s.Aerial, s.Resist, s.Cfg.PixelNM, mask, layout, p, runtimeSec)
 }
 
 // EvaluateWith is Evaluate with the forward imaging injected: aerial forms
-// the image at each corner, rm thresholds it, pixelNM scales areas and EPE
-// measurements. mask and the images aerial returns must share one grid
-// that covers layout at pixelNM resolution.
+// the image at each distinct defocus, rm thresholds it at each corner's
+// dose, pixelNM scales areas and EPE measurements. mask and the images
+// aerial returns must share one grid that covers layout at pixelNM
+// resolution.
 func EvaluateWith(aerial AerialFunc, rm resist.Model, pixelNM float64, mask *grid.Field, layout *geom.Layout, p Params, runtimeSec float64) (*Report, error) {
 	return EvaluateWithCtx(context.Background(), aerial, rm, pixelNM, mask, layout, p, runtimeSec)
 }
 
 // EvaluateWithCtx is EvaluateWith under a context, with EvaluateCtx's
-// cancellation semantics.
+// cancellation semantics. aerial runs once per distinct defocus (dose only
+// rescales intensity at the resist step, per the AerialFunc contract), with
+// the first corner at that defocus; every corner is then printed from the
+// shared image at its own dose.
 func EvaluateWithCtx(ctx context.Context, aerial AerialFunc, rm resist.Model, pixelNM float64, mask *grid.Field, layout *geom.Layout, p Params, runtimeSec float64) (*Report, error) {
 	corners := sim.ProcessCorners(p.DefocusNM, p.DoseDelta)
 	printed := make([]*grid.Field, len(corners))
 	var aerialNominal *grid.Field
-	for i, c := range corners {
+	for _, f := range sim.GroupByFocus(corners) {
+		first := corners[f.Index[0]]
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("metrics: evaluation canceled before corner %s: %w", c.Name, err)
+			return nil, fmt.Errorf("metrics: evaluation canceled before corner %s: %w", first.Name, err)
 		}
-		img, err := aerial(mask, c)
+		img, err := aerial(mask, first)
 		if err != nil {
-			return nil, fmt.Errorf("metrics: simulating corner %s: %w", c.Name, err)
+			return nil, fmt.Errorf("metrics: simulating corner %s: %w", first.Name, err)
 		}
-		printed[i] = rm.Print(img, c.Dose)
-		if c.DefocusNM == 0 && c.Dose == 1 {
-			aerialNominal = img
+		for _, ci := range f.Index {
+			c := corners[ci]
+			printed[ci] = rm.Print(img, c.Dose)
+			if c.DefocusNM == 0 && c.Dose == 1 {
+				aerialNominal = img
+			}
 		}
 	}
 	if aerialNominal == nil {

@@ -1,7 +1,10 @@
 package metrics
 
 import (
+	"context"
+	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"mosaic/internal/geom"
@@ -170,7 +173,9 @@ func TestShapeViolations(t *testing.T) {
 	}
 }
 
-func TestEvaluateEndToEnd(t *testing.T) {
+// evalFixture is a calibrated 64 px simulator with one printing feature.
+func evalFixture(t *testing.T) (*sim.Simulator, *geom.Layout, *grid.Field) {
+	t.Helper()
 	c := optics.Default()
 	c.GridSize = 64
 	c.PixelNM = 8
@@ -189,7 +194,11 @@ func TestEvaluateEndToEnd(t *testing.T) {
 		SizeNM: 512,
 		Polys:  []geom.Polygon{geom.Rect{X: 192, Y: 128, W: 128, H: 256}.Polygon()},
 	}
-	mask := layout.Rasterize(64, 8)
+	return s, layout, layout.Rasterize(64, 8)
+}
+
+func TestEvaluateEndToEnd(t *testing.T) {
+	s, layout, mask := evalFixture(t)
 	rep, err := Evaluate(s, mask, layout, DefaultParams(), 3)
 	if err != nil {
 		t.Fatal(err)
@@ -212,6 +221,76 @@ func TestEvaluateEndToEnd(t *testing.T) {
 	}
 	if len(rep.EPEResults) == 0 {
 		t.Fatal("no EPE samples measured")
+	}
+}
+
+// TestEvaluateImagesEachFocusOnce: the dose-only inner/outer corners share
+// one aerial image, so evaluation simulates once per distinct defocus and
+// still reproduces a corner-by-corner evaluation bit for bit.
+func TestEvaluateImagesEachFocusOnce(t *testing.T) {
+	s, layout, mask := evalFixture(t)
+	p := DefaultParams()
+	var calls []float64
+	counting := func(m *grid.Field, c sim.Corner) (*grid.Field, error) {
+		calls = append(calls, c.DefocusNM)
+		return s.Aerial(m, c)
+	}
+	rep, err := EvaluateWith(counting, s.Resist, s.Cfg.PixelNM, mask, layout, p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(calls, []float64{0, p.DefocusNM}) {
+		t.Fatalf("aerial ran at defoci %v, want one run per focus [0 %g]", calls, p.DefocusNM)
+	}
+
+	// Reference: image and print every corner independently.
+	corners := sim.ProcessCorners(p.DefocusNM, p.DoseDelta)
+	printed := make([]*grid.Field, len(corners))
+	var nominal *grid.Field
+	for i, c := range corners {
+		img, err := s.Aerial(mask, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		printed[i] = s.Resist.Print(img, c.Dose)
+		if i == 0 {
+			nominal = img
+		}
+	}
+	band, area := PVBand(printed, s.Cfg.PixelNM)
+	epes := MeasureEPE(nominal, 1, s.Resist.Threshold, s.Cfg.PixelNM, layout.SamplePoints(p.EPESampleNM), p)
+	if rep.PVBandNM2 != area || !slices.Equal(rep.PVBand.Data, band.Data) {
+		t.Fatalf("PV band %g differs from the corner-by-corner reference %g", rep.PVBandNM2, area)
+	}
+	if !slices.Equal(rep.EPEResults, epes) {
+		t.Fatal("EPE results differ from the corner-by-corner reference")
+	}
+	if !slices.Equal(rep.PrintedNominal.Data, printed[0].Data) || !slices.Equal(rep.AerialNominal.Data, nominal.Data) {
+		t.Fatal("nominal images differ from the corner-by-corner reference")
+	}
+	if rep.ShapeViolations != ShapeViolations(printed[0]) {
+		t.Fatal("shape violations differ from the corner-by-corner reference")
+	}
+}
+
+// TestEvaluateCancelBetweenSimulations: a context canceled during the
+// first simulation stops evaluation before the next one.
+func TestEvaluateCancelBetweenSimulations(t *testing.T) {
+	s, layout, mask := evalFixture(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	calls := 0
+	canceling := func(m *grid.Field, c sim.Corner) (*grid.Field, error) {
+		calls++
+		cancel()
+		return s.Aerial(m, c)
+	}
+	rep, err := EvaluateWithCtx(ctx, canceling, s.Resist, s.Cfg.PixelNM, mask, layout, DefaultParams(), 0)
+	if !errors.Is(err, context.Canceled) || rep != nil {
+		t.Fatalf("got report %v, err %v; want a context.Canceled error", rep, err)
+	}
+	if calls != 1 {
+		t.Fatalf("aerial ran %d times after cancellation, want 1", calls)
 	}
 }
 

@@ -50,6 +50,31 @@ func ProcessCorners(defocusNM, doseDelta float64) []Corner {
 	}
 }
 
+// Focus is the set of corners that share one defocus. Dose only rescales
+// intensity at the resist step, so they share one set of coherent fields
+// and one aerial image; a Focus is imaged once and printed per corner.
+type Focus struct {
+	DefocusNM float64
+	Index     []int // positions of the focus's corners in the corner slice, ascending
+}
+
+// GroupByFocus groups corners by DefocusNM, in order of first appearance.
+// For ProcessCorners that is nominal first, then the inner/outer pair.
+func GroupByFocus(corners []Corner) []Focus {
+	var foci []Focus
+next:
+	for i, c := range corners {
+		for fi := range foci {
+			if foci[fi].DefocusNM == c.DefocusNM {
+				foci[fi].Index = append(foci[fi].Index, i)
+				continue next
+			}
+		}
+		foci = append(foci, Focus{DefocusNM: c.DefocusNM, Index: []int{i}})
+	}
+	return foci
+}
+
 // Simulator evaluates the forward lithography process for one optical
 // configuration and resist model. It caches kernel sets per defocus via the
 // optics package and is safe for concurrent use.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"mosaic/internal/grid"
@@ -47,6 +48,35 @@ func TestProcessCorners(t *testing.T) {
 	}
 	if cs[1].DefocusNM != 25 || cs[2].DefocusNM != 25 {
 		t.Fatal("process corners must be defocused")
+	}
+}
+
+func TestGroupByFocus(t *testing.T) {
+	foci := GroupByFocus(ProcessCorners(25, 0.02))
+	if len(foci) != 2 {
+		t.Fatalf("got %d foci, want 2: %+v", len(foci), foci)
+	}
+	if foci[0].DefocusNM != 0 || !slices.Equal(foci[0].Index, []int{0}) {
+		t.Fatalf("first focus %+v, want nominal alone", foci[0])
+	}
+	if foci[1].DefocusNM != 25 || !slices.Equal(foci[1].Index, []int{1, 2}) {
+		t.Fatalf("second focus %+v, want the inner/outer pair", foci[1])
+	}
+
+	// Interleaved defoci keep first-appearance order and ascending indices.
+	cs := []Corner{{DefocusNM: 10}, {DefocusNM: 0}, {DefocusNM: 10}, {DefocusNM: -10}, {DefocusNM: 0}}
+	got := GroupByFocus(cs)
+	want := []Focus{{10, []int{0, 2}}, {0, []int{1, 4}}, {-10, []int{3}}}
+	if len(got) != len(want) {
+		t.Fatalf("got %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i].DefocusNM != want[i].DefocusNM || !slices.Equal(got[i].Index, want[i].Index) {
+			t.Fatalf("focus %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if GroupByFocus(nil) != nil {
+		t.Fatal("no corners must give no foci")
 	}
 }
 
