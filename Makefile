@@ -79,21 +79,26 @@ fuzz-smoke:
 # bench runs the paper-table, convolution-engine and per-layer micro
 # benchmarks (forward SOCS imaging, one descent iteration, rasterization)
 # and archives both a benchstat-compatible text file and a JSON rendering
-# under results/, stamped with today's date.
+# under results/, stamped with today's date. The text file opens with the
+# core count, GOMAXPROCS and Go version the run used, which benchjson
+# carries into the JSON report header.
 BENCH_PATTERN ?= Table2|Table3|Convolve|Smooth|TilePipeline|TileCache|WarmStart|MicroForwardSOCS|MicroIteration|MicroRasterize
 BENCH_TIME ?= 1s
 BENCH_STAMP := $(shell date +%Y%m%d)
 
 bench:
 	@mkdir -p results
+	@{ echo "nproc: $$(nproc)"; echo "gomaxprocs: $${GOMAXPROCS:-$$(nproc)}"; \
+		echo "goversion: $$($(GO) env GOVERSION)"; } | tee results/BENCH_$(BENCH_STAMP).txt
 	$(GO) test -run='^$$' -bench='$(BENCH_PATTERN)' -benchtime='$(BENCH_TIME)' -benchmem -p 1 ./... \
-		| tee results/BENCH_$(BENCH_STAMP).txt
+		| tee -a results/BENCH_$(BENCH_STAMP).txt
 	$(GO) run ./cmd/benchjson < results/BENCH_$(BENCH_STAMP).txt \
 		> results/BENCH_$(BENCH_STAMP).json
 	@echo "wrote results/BENCH_$(BENCH_STAMP).txt and .json"
 
 # bench-compare diffs the two most recent archived JSON benchmark reports
-# (or OLD=... NEW=... overrides) and fails on a >15% ns/op regression.
+# (or OLD=... NEW=... overrides) and fails on a >15% ns/op regression or on
+# any rise in a Table 2 benchmark's EPEviol or PVB-nm2.
 bench-compare:
 	@old="$(OLD)"; new="$(NEW)"; \
 	if [ -z "$$old" ] || [ -z "$$new" ]; then \

@@ -8,13 +8,22 @@
 //	go test -bench=. -benchmem -run='^$' . | tee bench.txt | benchjson > bench.json
 //	benchjson -compare old.json new.json
 //
+// A multi-package run prints one "pkg:" header per package; each result
+// records the package it ran in. `make bench` adds "nproc:", "gomaxprocs:"
+// and "goversion:" header lines, which land in the report header, so an
+// archived number always says what machine and toolchain produced it.
+//
 // Compare mode prints a per-benchmark delta table (ns/op, B/op) for the
-// benchmarks present in both reports — benchmarks present in only one
-// (added or removed since the old report) are listed in dedicated
-// sections below it — and exits nonzero when any shared benchmark
-// regressed by more than -threshold percent in ns/op or in optimizer
-// iterations ("iters/op", reported by the warm-start benchmarks), so CI
-// can gate on it mechanically while treating noise-level drift as clean.
+// benchmarks present in both reports, matched by package and name —
+// benchmarks present in only one (added or removed since the old report)
+// are listed in dedicated sections below it — and exits nonzero when any
+// shared benchmark regressed by more than -threshold percent in ns/op or
+// in optimizer iterations ("iters/op", reported by the warm-start
+// benchmarks), so CI can gate on it mechanically while treating
+// noise-level drift as clean. Mask quality is gated without a threshold:
+// the paper-table metrics EPEviol and PVB-nm2 are deterministic, so any
+// increase is a QUALITY REGRESSION. score is not gated because it folds
+// in runtime.
 package main
 
 import (
@@ -24,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path"
 	"strconv"
 	"strings"
 	"text/tabwriter"
@@ -33,6 +43,7 @@ import (
 //
 //	BenchmarkTable3RuntimeFast  3  445979515 ns/op  7392618 B/op  2764 allocs/op
 type Result struct {
+	Pkg         string  `json:"pkg,omitempty"` // import path of the package the benchmark ran in
 	Name        string  `json:"name"`
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
@@ -46,11 +57,22 @@ type Result struct {
 
 // Report is the whole run: environment header lines plus every result.
 type Report struct {
-	Goos    string   `json:"goos,omitempty"`
-	Goarch  string   `json:"goarch,omitempty"`
-	Pkg     string   `json:"pkg,omitempty"`
-	CPU     string   `json:"cpu,omitempty"`
-	Results []Result `json:"results"`
+	Goos       string   `json:"goos,omitempty"`
+	Goarch     string   `json:"goarch,omitempty"`
+	CPU        string   `json:"cpu,omitempty"`
+	Nproc      int      `json:"nproc,omitempty"`
+	GOMAXPROCS int      `json:"gomaxprocs,omitempty"`
+	GoVersion  string   `json:"go_version,omitempty"`
+	Results    []Result `json:"results"`
+}
+
+// label names the result in compare output: the last element of its
+// package path, then the benchmark name ("ilt.BenchmarkMicroIteration-2").
+func (r Result) label() string {
+	if r.Pkg == "" {
+		return r.Name
+	}
+	return path.Base(r.Pkg) + "." + r.Name
 }
 
 func parseLine(fields []string) (Result, bool) {
@@ -87,19 +109,29 @@ func parseLine(fields []string) (Result, bool) {
 
 func parse(sc *bufio.Scanner) (Report, error) {
 	var rep Report
+	pkg := "" // the most recent "pkg:" header: the package of the results below it
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
-		switch {
-		case strings.HasPrefix(line, "goos:"):
-			rep.Goos = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
-		case strings.HasPrefix(line, "goarch:"):
-			rep.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
-		case strings.HasPrefix(line, "pkg:"):
-			rep.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
-		case strings.HasPrefix(line, "cpu:"):
-			rep.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
+		key, val, _ := strings.Cut(line, ":")
+		val = strings.TrimSpace(val)
+		switch key {
+		case "goos":
+			rep.Goos = val
+		case "goarch":
+			rep.Goarch = val
+		case "pkg":
+			pkg = val
+		case "cpu":
+			rep.CPU = val
+		case "nproc":
+			rep.Nproc, _ = strconv.Atoi(val)
+		case "gomaxprocs":
+			rep.GOMAXPROCS, _ = strconv.Atoi(val)
+		case "goversion":
+			rep.GoVersion = val
 		default:
 			if r, ok := parseLine(strings.Fields(line)); ok {
+				r.Pkg = pkg
 				rep.Results = append(rep.Results, r)
 			}
 		}
@@ -123,27 +155,67 @@ func loadReport(path string) (Report, error) {
 // iteration counts under (b.ReportMetric(..., "iters/op")).
 const itersUnit = "iters/op"
 
+// qualityUnits are the deterministic mask-quality metrics the paper-table
+// benchmarks report: EPE violations and PV-band area. Lower is better and
+// the same code gives the same value on any machine, so any increase is a
+// regression, with no noise threshold.
+var qualityUnits = []string{"EPEviol", "PVB-nm2"}
+
+// keyFunc returns how results are matched across two reports: by package
+// and name, or by name alone when either report predates per-result
+// packages (it has no result with a Pkg).
+func keyFunc(a, b Report) func(Result) string {
+	hasPkg := func(rep Report) bool {
+		for _, r := range rep.Results {
+			if r.Pkg != "" {
+				return true
+			}
+		}
+		return false
+	}
+	if !hasPkg(a) || !hasPkg(b) {
+		return func(r Result) string { return r.Name }
+	}
+	return func(r Result) string { return r.Pkg + "." + r.Name }
+}
+
+// qualityRegressions describes each quality unit whose value rose from or
+// to nr.
+func qualityRegressions(or, nr Result) []string {
+	var out []string
+	for _, u := range qualityUnits {
+		ov, ok1 := or.Extra[u]
+		nv, ok2 := nr.Extra[u]
+		if ok1 && ok2 && nv > ov {
+			out = append(out, fmt.Sprintf("%s %g -> %g", u, ov, nv))
+		}
+	}
+	return out
+}
+
 // compare writes a per-benchmark delta table for the benchmarks shared by
 // old and new, then dedicated "added" / "removed" sections for benchmarks
 // present in only one report (with their values, so a rename or a new
 // bench is visible rather than silently dropped or smeared into the delta
 // table), and reports whether any shared benchmark regressed in ns/op by
-// more than threshold percent. Benchmarks are compared by exact name
-// (including any /sub and -N parts), in new-report order; only shared
-// benchmarks can regress the comparison.
+// more than threshold percent, or in iters/op likewise, or rose at all in
+// a quality unit. Benchmarks are compared by package and exact name
+// (including any /sub and -N parts; see keyFunc), in new-report order;
+// only shared benchmarks can regress the comparison.
 func compare(w io.Writer, oldRep, newRep Report, threshold float64) bool {
+	key := keyFunc(oldRep, newRep)
 	oldBy := make(map[string]Result, len(oldRep.Results))
 	for _, r := range oldRep.Results {
-		oldBy[r.Name] = r
+		oldBy[key(r)] = r
 	}
-	newNames := make(map[string]bool, len(newRep.Results))
+	newKeys := make(map[string]bool, len(newRep.Results))
 	regressed := false
 
 	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
 	fmt.Fprintf(tw, "benchmark\told ns/op\tnew ns/op\tdelta\titers/op\t\n")
 	for _, nr := range newRep.Results {
-		newNames[nr.Name] = true
-		or, ok := oldBy[nr.Name]
+		newKeys[key(nr)] = true
+		or, ok := oldBy[key(nr)]
 		if !ok {
 			continue
 		}
@@ -177,18 +249,25 @@ func compare(w io.Writer, oldRep, newRep Report, threshold float64) bool {
 				}
 			}
 		}
-		fmt.Fprintf(tw, "%s\t%.0f\t%.0f\t%s\t%s\t%s\n", nr.Name, or.NsPerOp, nr.NsPerOp, delta, iters, note)
+		if q := qualityRegressions(or, nr); len(q) > 0 {
+			regressed = true
+			if note != "" {
+				note += "; "
+			}
+			note += "QUALITY REGRESSION (" + strings.Join(q, ", ") + ")"
+		}
+		fmt.Fprintf(tw, "%s\t%.0f\t%.0f\t%s\t%s\t%s\n", nr.label(), or.NsPerOp, nr.NsPerOp, delta, iters, note)
 	}
 	tw.Flush()
 
 	var added, removed []Result
 	for _, nr := range newRep.Results {
-		if _, ok := oldBy[nr.Name]; !ok {
+		if _, ok := oldBy[key(nr)]; !ok {
 			added = append(added, nr)
 		}
 	}
 	for _, or := range oldRep.Results {
-		if !newNames[or.Name] {
+		if !newKeys[key(or)] {
 			removed = append(removed, or)
 		}
 	}
@@ -205,14 +284,14 @@ func oneSided(w io.Writer, title string, rs []Result) {
 	fmt.Fprintf(w, "\n%s:\n", title)
 	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
 	for _, r := range rs {
-		fmt.Fprintf(tw, "  %s\t%.0f ns/op\t\n", r.Name, r.NsPerOp)
+		fmt.Fprintf(tw, "  %s\t%.0f ns/op\t\n", r.label(), r.NsPerOp)
 	}
 	tw.Flush()
 }
 
 func main() {
 	compareMode := flag.Bool("compare", false, "compare two archived JSON reports: benchjson -compare old.json new.json")
-	threshold := flag.Float64("threshold", 15, "ns/op regression percentage above which -compare exits nonzero")
+	threshold := flag.Float64("threshold", 15, "ns/op and iters/op regression percentage above which -compare exits nonzero (EPEviol and PVB-nm2 fail on any increase)")
 	flag.Parse()
 
 	if *compareMode {

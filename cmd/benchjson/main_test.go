@@ -21,7 +21,7 @@ func TestParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Goos != "linux" || rep.Goarch != "amd64" || rep.Pkg != "mosaic" {
+	if rep.Goos != "linux" || rep.Goarch != "amd64" {
 		t.Fatalf("bad header: %+v", rep)
 	}
 	if len(rep.Results) != 2 {
@@ -176,5 +176,122 @@ func TestCompareIterRegression(t *testing.T) {
 	buf.Reset()
 	if compare(&buf, plain, plain, 15) {
 		t.Fatalf("unit-less benchmark regressed:\n%s", buf.String())
+	}
+}
+
+// twoPackages is a multi-package `make bench` run: the environment lines
+// make bench writes, then one go test header block per package.
+const twoPackages = `nproc: 2
+gomaxprocs: 2
+goversion: go1.24.0
+goos: linux
+goarch: amd64
+pkg: mosaic
+cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
+BenchmarkTable2MOSAICFast-2  2  681181512 ns/op  0 EPEviol  6400 PVB-nm2  25601 score
+BenchmarkShared-2  10  100 ns/op
+PASS
+ok  	mosaic	2.1s
+goos: linux
+goarch: amd64
+pkg: mosaic/internal/ilt
+cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
+BenchmarkMicroIteration-2  100  13700000 ns/op
+BenchmarkShared-2  10  200 ns/op
+PASS
+ok  	mosaic/internal/ilt	1.5s
+`
+
+func TestParseTwoPackages(t *testing.T) {
+	rep, err := parse(bufio.NewScanner(strings.NewReader(twoPackages)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Nproc != 2 || rep.GOMAXPROCS != 2 || rep.GoVersion != "go1.24.0" || rep.CPU == "" {
+		t.Fatalf("environment header not recorded: %+v", rep)
+	}
+	want := []struct{ pkg, name string }{
+		{"mosaic", "BenchmarkTable2MOSAICFast-2"},
+		{"mosaic", "BenchmarkShared-2"},
+		{"mosaic/internal/ilt", "BenchmarkMicroIteration-2"},
+		{"mosaic/internal/ilt", "BenchmarkShared-2"},
+	}
+	if len(rep.Results) != len(want) {
+		t.Fatalf("parsed %d results, want %d", len(rep.Results), len(want))
+	}
+	for i, w := range want {
+		if r := rep.Results[i]; r.Pkg != w.pkg || r.Name != w.name {
+			t.Errorf("result %d is %s %s, want %s %s", i, r.Pkg, r.Name, w.pkg, w.name)
+		}
+	}
+}
+
+// TestCompareMatchesPackageAndName: two benchmarks sharing a name in
+// different packages are compared with their own package's baseline,
+// not with each other.
+func TestCompareMatchesPackageAndName(t *testing.T) {
+	oldRep, err := parse(bufio.NewScanner(strings.NewReader(twoPackages)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	newRep, err := parse(bufio.NewScanner(strings.NewReader(twoPackages)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf strings.Builder
+	if compare(&buf, oldRep, newRep, 15) {
+		t.Fatalf("identical two-package reports regressed (names matched across packages):\n%s", buf.String())
+	}
+	out := buf.String()
+	for _, want := range []string{"mosaic.BenchmarkShared-2", "ilt.BenchmarkShared-2"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+	// Moving a benchmark to another package is a removal plus an addition.
+	newRep.Results[1].Pkg = "mosaic/internal/tile"
+	buf.Reset()
+	compare(&buf, oldRep, newRep, 15)
+	if out := buf.String(); !strings.Contains(out, "added") || !strings.Contains(out, "removed") {
+		t.Errorf("package move not reported as added + removed:\n%s", out)
+	}
+}
+
+// TestCompareQualityGate: any rise in EPEviol or PVB-nm2 fails the
+// comparison however small, a drop passes, and score (which folds in
+// runtime) is never gated.
+func TestCompareQualityGate(t *testing.T) {
+	mk := func(epe, pvb, score float64) Report {
+		return Report{Results: []Result{{
+			Pkg: "mosaic", Name: "BenchmarkTable2MOSAICFast-2", NsPerOp: 1000,
+			Extra: map[string]float64{"EPEviol": epe, "PVB-nm2": pvb, "score": score},
+		}}}
+	}
+	base := mk(0, 6400, 25601)
+	for _, tc := range []struct {
+		name    string
+		newRep  Report
+		regress bool
+		marker  string
+	}{
+		{"identical", base, false, ""},
+		{"one more EPE violation", mk(1, 6400, 25601), true, "EPEviol 0 -> 1"},
+		{"PV band one pixel larger", mk(0, 6464, 25601), true, "PVB-nm2 6400 -> 6464"},
+		{"PV band smaller", mk(0, 6336, 25000), false, ""},
+		{"score worse only", mk(0, 6400, 99999), false, ""},
+	} {
+		var buf strings.Builder
+		got := compare(&buf, base, tc.newRep, 15)
+		out := buf.String()
+		if got != tc.regress {
+			t.Errorf("%s: regressed = %v, want %v:\n%s", tc.name, got, tc.regress, out)
+		}
+		if tc.regress {
+			if !strings.Contains(out, "QUALITY REGRESSION") || !strings.Contains(out, tc.marker) {
+				t.Errorf("%s: output missing QUALITY REGRESSION %q:\n%s", tc.name, tc.marker, out)
+			}
+		} else if strings.Contains(out, "REGRESSION") {
+			t.Errorf("%s: unexpected REGRESSION marker:\n%s", tc.name, out)
+		}
 	}
 }

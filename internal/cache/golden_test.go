@@ -61,8 +61,8 @@ func TestRequestKeyGolden(t *testing.T) {
 		seeded bool
 		want   string
 	}{
-		{"cold", false, "15ed040d2d52e4f8887652dedc4bd3d627869c430f7ad37b90b3c71a3227a8f1"},
-		{"seeded", true, "a700360d0009e96fdd6e289df488e5f6afa8b55d9479da9997188935d17b69c3"},
+		{"cold", false, "9c5c0d54c35e19a6bb5be6ca4a9935b7b0dcfc9989668ea9b730f09b0ba1d391"},
+		{"seeded", true, "d10b84527ced666004342f8462252a8e3a19c523e123357d8a6548f6c9e93fb5"},
 	} {
 		if got := RequestKey(goldenReq(tc.seeded)).String(); got != tc.want {
 			t.Errorf("%s RequestKey = %s, want %s", tc.name, got, tc.want)

@@ -83,59 +83,112 @@ func InverseBandLimited(blk *grid.CField, w, h int, dst *grid.CField) {
 	// layout and the second pass streams rows.
 	rows := 2*k + 1
 	ws := grid.GetC(n, rows)
-	rowPass := func(lo, hi int) {
-		for bi := lo; bi < hi; bi++ {
-			dy := bi - k
-			row := ws.Row(bi)
-			for i := range row {
-				row[i] = 0
-			}
-			for dx := -k; dx <= k; dx++ {
-				row[(dx+n)%n] = blk.At(dx+k, dy+k)
-			}
-			transform(row, p, true)
-		}
-	}
 	if n*n >= parallelElems {
-		par.ForChunks(rows, rowPass)
+		par.ForChunks(rows, func(lo, hi int) { inverseBandRows(ws, blk, p, lo, hi) })
 	} else {
-		rowPass(0, rows)
+		inverseBandRows(ws, blk, p, 0, rows)
 	}
 	// Cache-blocked scatter: walking dst row-major (x outer) writes each
-	// destination row's 2k+1 band entries as two contiguous runs, and the
-	// workspace columns it reads span only 2k+1 cache lines that are
-	// reused across consecutive x. The previous per-band-row scatter
-	// instead made 2k+1 full stride-n passes over dst, touching every
-	// cache line of a 512^2/1024^2 grid once per band row.
-	sy := make([]int, rows)
-	for bi := range sy {
-		sy[bi] = (bi - k + n) % n
-	}
+	// destination row's 2k+1 band entries as two contiguous runs — band
+	// rows dy = -k..-1 to the row's tail n-k..n-1, dy = 0..k to its head
+	// 0..k — and the workspace columns it reads span only 2k+1 cache lines
+	// that are reused across consecutive x. The previous per-band-row
+	// scatter instead made 2k+1 full stride-n passes over dst, touching
+	// every cache line of a 512^2/1024^2 grid once per band row.
 	for x := 0; x < n; x++ {
 		d := dst.Data[x*n : x*n+n]
-		for bi, s := range sy {
-			d[s] = ws.Data[bi*n+x]
+		for bi := 0; bi < k; bi++ {
+			d[n-k+bi] = ws.Data[bi*n+x]
+		}
+		for bi := k; bi < rows; bi++ {
+			d[bi-k] = ws.Data[bi*n+x]
 		}
 	}
 	grid.PutC(ws)
 	// Dense column pass (as rows of the transposed intermediate), with the
 	// 1/(W*H) normalization folded in.
 	inv := complex(1/float64(n*n), 0)
-	pass := func(lo, hi int) {
-		for y := lo; y < hi; y++ {
-			r := dst.Row(y)
-			transform(r, p, true)
-			for i := range r {
-				r[i] *= inv
-			}
-		}
-	}
 	if n*n >= parallelElems {
-		par.ForChunks(n, pass)
+		par.ForChunks(n, func(lo, hi int) { inverseRowsScaled(dst, p, inv, lo, hi) })
 	} else {
-		pass(0, n)
+		inverseRowsScaled(dst, p, inv, 0, n)
 	}
 	transposeSquare(dst)
+}
+
+// The row and column passes below are top-level functions rather than
+// closures so that a grid below parallelElems, which runs them inline,
+// allocates nothing per transform: a closure handed to par.ForChunks
+// escapes to the heap even on the path that never forks.
+
+// inverseBandRows inverse-transforms band rows [lo, hi) of blk, embedded
+// in zero rows of length ws.W, into the rows of the workspace ws.
+func inverseBandRows(ws, blk *grid.CField, p *plan, lo, hi int) {
+	n, k := ws.W, blk.W/2
+	for bi := lo; bi < hi; bi++ {
+		dy := bi - k
+		row := ws.Row(bi)
+		for i := range row {
+			row[i] = 0
+		}
+		for dx := -k; dx <= k; dx++ {
+			row[(dx+n)%n] = blk.At(dx+k, dy+k)
+		}
+		transform(row, p, true)
+	}
+}
+
+// inverseRowsScaled inverse-transforms rows [lo, hi) of c in place and
+// multiplies them by s.
+func inverseRowsScaled(c *grid.CField, p *plan, s complex128, lo, hi int) {
+	for y := lo; y < hi; y++ {
+		r := c.Row(y)
+		transform(r, p, true)
+		for i := range r {
+			r[i] *= s
+		}
+	}
+}
+
+// forwardRows forward-transforms rows [lo, hi) of c in place.
+func forwardRows(c *grid.CField, p *plan, lo, hi int) {
+	for y := lo; y < hi; y++ {
+		transform(c.Row(y), p, false)
+	}
+}
+
+// realForwardRows writes the forward transforms of the real rows [lo, hi)
+// of f into the rows of ws. ph is nil for a degenerate 1-wide grid.
+func realForwardRows(ws *grid.CField, f *grid.Field, pn, ph *plan, lo, hi int) {
+	for y := lo; y < hi; y++ {
+		if ph == nil {
+			// Degenerate 1-wide grid: nothing to transform.
+			ws.Row(y)[0] = complex(f.Row(y)[0], 0)
+			continue
+		}
+		realForwardInto(ws.Row(y), f.Row(y), pn, ph)
+	}
+}
+
+// bandColumnRange column-transforms band columns [lo, hi) of the
+// row-transformed field ws (band column bi holds frequency bi-k) and
+// writes their band rows into blk.
+func bandColumnRange(ws, blk *grid.CField, ph *plan, lo, hi int) {
+	w, h, k := ws.W, ws.H, blk.W/2
+	scratch := grid.GetC(h, 1)
+	col := scratch.Data
+	for bi := lo; bi < hi; bi++ {
+		dx := bi - k
+		sx := (dx + w) % w
+		for y := 0; y < h; y++ {
+			col[y] = ws.Data[y*w+sx]
+		}
+		transform(col, ph, false)
+		for dy := -k; dy <= k; dy++ {
+			blk.Set(dx+k, dy+k, col[(dy+h)%h])
+		}
+	}
+	grid.PutC(scratch)
 }
 
 // embedInto writes blk into the centered low-frequency positions of the
@@ -159,15 +212,10 @@ func ForwardBandLimited(src *grid.CField, k int, blk *grid.CField) {
 	checkBlock(blk, src.W, src.H)
 	prunedForward.Inc()
 	pw := getPlan(src.W)
-	rowPass := func(lo, hi int) {
-		for y := lo; y < hi; y++ {
-			transform(src.Row(y), pw, false)
-		}
-	}
 	if src.W*src.H >= parallelElems {
-		par.ForChunks(src.H, rowPass)
+		par.ForChunks(src.H, func(lo, hi int) { forwardRows(src, pw, lo, hi) })
 	} else {
-		rowPass(0, src.H)
+		forwardRows(src, pw, 0, src.H)
 	}
 	bandColumns(src, k, blk)
 }
@@ -176,27 +224,10 @@ func ForwardBandLimited(src *grid.CField, k int, blk *grid.CField) {
 // of the row-transformed field ws, extracting the band rows into blk.
 func bandColumns(ws *grid.CField, k int, blk *grid.CField) {
 	ph := getPlan(ws.H)
-	w, h := ws.W, ws.H
-	pass := func(lo, hi int) {
-		scratch := grid.GetC(h, 1)
-		col := scratch.Data
-		for bi := lo; bi < hi; bi++ {
-			dx := bi - k
-			sx := (dx + w) % w
-			for y := 0; y < h; y++ {
-				col[y] = ws.Data[y*w+sx]
-			}
-			transform(col, ph, false)
-			for dy := -k; dy <= k; dy++ {
-				blk.Set(dx+k, dy+k, col[(dy+h)%h])
-			}
-		}
-		grid.PutC(scratch)
-	}
-	if w*h >= parallelElems {
-		par.ForChunks(2*k+1, pass)
+	if ws.W*ws.H >= parallelElems {
+		par.ForChunks(2*k+1, func(lo, hi int) { bandColumnRange(ws, blk, ph, lo, hi) })
 	} else {
-		pass(0, 2*k+1)
+		bandColumnRange(ws, blk, ph, 0, 2*k+1)
 	}
 }
 
@@ -215,21 +246,60 @@ func ForwardBandLimitedReal(f *grid.Field, k int, blk *grid.CField) {
 	if f.W >= 2 {
 		ph = getPlan(f.W / 2)
 	}
-	rowPass := func(lo, hi int) {
-		for y := lo; y < hi; y++ {
-			if ph == nil {
-				// Degenerate 1-wide grid: nothing to transform.
-				ws.Row(y)[0] = complex(f.Row(y)[0], 0)
-				continue
-			}
-			realForwardInto(ws.Row(y), f.Row(y), pn, ph)
-		}
-	}
 	if f.W*f.H >= parallelElems {
-		par.ForChunks(f.H, rowPass)
+		par.ForChunks(f.H, func(lo, hi int) { realForwardRows(ws, f, pn, ph, lo, hi) })
 	} else {
-		rowPass(0, f.H)
+		realForwardRows(ws, f, pn, ph, 0, f.H)
 	}
 	bandColumns(ws, k, blk)
 	grid.PutC(ws)
+}
+
+// Grid resampling.
+//
+// A field whose spectrum is confined to half-width b is fully determined
+// by its samples on any grid wider than 2b, so band-limited work can run
+// on a grid smaller than the mask's and move between grids exactly:
+// transform on one grid, keep the central block, re-synthesize on the
+// other. The one subtlety is normalization. A forward transform sums over
+// the source grid's samples and the inverse divides by the destination
+// grid's, so a band block carried between grids must be multiplied by
+// GridScale; every change of grid in the imaging path goes through it.
+
+// GridScale returns (to/from)^2: the factor that carries a band-limited
+// spectrum block from the transform of a from x from grid to the inverse
+// transform of a to x to grid while keeping the field's values. Both
+// sizes are powers of two, so the factor is one too and multiplying by it
+// is exact.
+func GridScale(from, to int) float64 {
+	r := float64(to) / float64(from)
+	return r * r
+}
+
+// Resample band-limits the real square field src to half-width b and
+// samples the result on dst's square grid, overwriting dst: the
+// trigonometric interpolant of src's central (2b+1)^2 spectrum block
+// evaluated at dst's pixel pitch. Onto a finer grid it is exact Fourier
+// interpolation of a field band-limited to b; onto a coarser one it is a
+// low-pass filter followed by decimation. Both grids must be at least
+// 2b+1 wide. Scratch comes from the workspace pool. It is equivalent to
+// real(Inverse2D(EmbedCenter(ExtractCenter(Forward2D(src), b), d, d)))
+// times GridScale(src.W, d), with d = dst.W.
+func Resample(src *grid.Field, b int, dst *grid.Field) {
+	if src.W != src.H || dst.W != dst.H {
+		panic(fmt.Sprintf("fft: Resample needs square grids, got %dx%d -> %dx%d", src.W, src.H, dst.W, dst.H))
+	}
+	blk := grid.GetC(2*b+1, 2*b+1)
+	ForwardBandLimitedReal(src, b, blk)
+	s := complex(GridScale(src.W, dst.W), 0)
+	for i := range blk.Data {
+		blk.Data[i] *= s
+	}
+	out := grid.GetC(dst.W, dst.H)
+	InverseBandLimited(blk, dst.W, dst.H, out)
+	grid.PutC(blk)
+	for i, v := range out.Data {
+		dst.Data[i] = real(v)
+	}
+	grid.PutC(out)
 }

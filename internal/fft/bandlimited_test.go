@@ -1,6 +1,7 @@
 package fft
 
 import (
+	"math"
 	"math/cmplx"
 	"math/rand"
 	"strings"
@@ -153,5 +154,84 @@ func TestPrunedCountersVisible(t *testing.T) {
 	}
 	if prunedInverse.Value() == 0 || prunedForward.Value() == 0 {
 		t.Error("pruned counters did not advance")
+	}
+}
+
+// TestResampleMatchesReference pins Resample to the full-transform
+// reference Forward2D + ExtractCenter + EmbedCenter + Inverse2D, scaled by
+// GridScale, onto a coarser grid (low-pass and decimate), a finer one
+// (Fourier interpolation) and the same one (low-pass only).
+func TestResampleMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	cases := []struct{ src, dst, b int }{
+		{128, 64, 28}, {64, 128, 28}, {64, 32, 14}, {32, 64, 14},
+		{64, 64, 14}, {128, 128, 28}, {16, 16, 7},
+	}
+	for _, tc := range cases {
+		src := grid.New(tc.src, tc.src)
+		for i := range src.Data {
+			if rng.Float64() < 0.3 {
+				src.Data[i] = 1
+			}
+		}
+		ref := grid.ToComplex(src)
+		Forward2D(ref)
+		spec := EmbedCenter(ExtractCenter(ref, tc.b), tc.dst, tc.dst)
+		Inverse2D(spec)
+		scale := GridScale(tc.src, tc.dst)
+		dst := grid.New(tc.dst, tc.dst).Fill(7) // dirty
+		Resample(src, tc.b, dst)
+		maxDiff := 0.0
+		for i, v := range dst.Data {
+			if d := math.Abs(v - scale*real(spec.Data[i])); d > maxDiff {
+				maxDiff = d
+			}
+		}
+		if maxDiff > 1e-12 {
+			t.Errorf("%d -> %d b=%d: Resample differs from reference by %g", tc.src, tc.dst, tc.b, maxDiff)
+		}
+	}
+}
+
+// TestResampleInterpolatesIntensityExactly is the image-grid argument in
+// one test: a field A with band half-width k has an intensity |A|^2 of
+// band 2k, so its samples on any grid wider than 4k determine it. |A|^2
+// taken on an m x m grid with m > 4k and interpolated to n x n must equal
+// |A|^2 taken on the n x n grid directly.
+func TestResampleInterpolatesIntensityExactly(t *testing.T) {
+	const n, m, k = 128, 64, 14 // 4k+1 = 57 <= m
+	rng := rand.New(rand.NewSource(47))
+	blk := randBlock(k, rng)
+	intensity := func(size int) *grid.Field {
+		b := blk.Clone()
+		s := complex(GridScale(n, size), 0)
+		for i := range b.Data {
+			b.Data[i] *= s
+		}
+		a := grid.NewC(size, size)
+		InverseBandLimited(b, size, size, a)
+		return a.Abs2()
+	}
+	want := intensity(n)
+	got := grid.New(n, n)
+	Resample(intensity(m), 2*k, got)
+	lo, hi := want.MinMax()
+	tol := 1e-12 * math.Max(-lo, hi)
+	for i, v := range got.Data {
+		if d := math.Abs(v - want.Data[i]); d > tol {
+			t.Fatalf("pixel %d: interpolated %g vs direct %g (diff %g)", i, v, want.Data[i], d)
+		}
+	}
+}
+
+func TestGridScale(t *testing.T) {
+	if s := GridScale(128, 64); s != 0.25 {
+		t.Errorf("GridScale(128, 64) = %g, want 0.25", s)
+	}
+	if s := GridScale(64, 512); s != 64 {
+		t.Errorf("GridScale(64, 512) = %g, want 64", s)
+	}
+	if s := GridScale(64, 64); s != 1 {
+		t.Errorf("GridScale(64, 64) = %g, want 1", s)
 	}
 }

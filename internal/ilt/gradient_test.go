@@ -1,9 +1,11 @@
 package ilt
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"mosaic/internal/fft"
 	"mosaic/internal/geom"
 	"mosaic/internal/grid"
 	"mosaic/internal/obs"
@@ -219,58 +221,149 @@ func cornerGradient(o *Optimizer, st *iterState, mask, target *grid.Field) *grid
 	return grad
 }
 
+// fullGridAdjoint is the mask-grid reference for adjoint: it rebuilds
+// every field A_k on the full n x n grid and runs the per-kernel products
+// and forward transforms there, as the optimizer did before the image
+// grid. The two agree up to transform rounding.
+func fullGridAdjoint(grad *grid.Field, st *iterState, fs *focusState, w *grid.Field) {
+	m := fs.model
+	bw := 2*m.k + 1
+	n := grad.W
+	focusBlk := grid.NewC(bw, bw)
+	for ki, kf := range m.freqs {
+		fblk := grid.NewC(bw, bw)
+		for i, v := range st.specBand.Data {
+			fblk.Data[i] = v * kf.Data[i]
+		}
+		term := grid.NewC(n, n)
+		fft.InverseBandLimited(fblk, n, n, term)
+		for i, av := range term.Data {
+			term.Data[i] = av * complex(w.Data[i], 0)
+		}
+		blk := grid.NewC(bw, bw)
+		fft.ForwardBandLimited(term, m.k, blk)
+		scale := complex(2*m.weights[ki], 0)
+		for i, kv := range kf.Data {
+			focusBlk.Data[i] += blk.Data[i] * complex(real(kv), -imag(kv)) * scale
+		}
+	}
+	field := grid.NewC(n, n)
+	fft.InverseBandLimited(focusBlk, n, n, field)
+	for i, v := range field.Data {
+		grad.Data[i] += real(v)
+	}
+}
+
+// referenceGradient is gradient with fullGridAdjoint in place of adjoint.
+func referenceGradient(o *Optimizer, st *iterState, mask, target *grid.Field) *grid.Field {
+	grad := grid.New(mask.W, mask.H)
+	for fi := range st.foci {
+		fs := &st.foci[fi]
+		if w := o.focusWeight(st, fs.model, target); w != nil {
+			fullGridAdjoint(grad, st, fs, w)
+		}
+	}
+	if o.Cfg.SmoothWeight > 0 {
+		smoothGradient(grad, mask, o.Cfg.SmoothWeight)
+	}
+	return grad
+}
+
+// gradientCases are the objective configurations the gradient reference
+// tests cover: both modes, and each of the target and PV-band terms alone.
+var gradientCases = []struct {
+	name string
+	mode Mode
+	edit func(*Config)
+}{
+	{"fast", ModeFast, func(*Config) {}},
+	{"exact", ModeExact, func(*Config) {}},
+	{"alpha0", ModeFast, func(c *Config) { c.Alpha, c.Beta = 0, 1 }},
+	{"beta0", ModeExact, func(c *Config) { c.Beta = 0 }},
+}
+
+// compareGradient evaluates the optimizer's gradient on a mid-descent mask
+// (so every corner's sigmoid is live) and requires the reference ref to
+// reproduce it to 1e-12 relative per pixel, with a floor of 1e-14 of the
+// gradient's scale: where the gradient crosses zero, transform rounding
+// (relative to the whole field) dominates the pixel.
+func compareGradient(t *testing.T, o *Optimizer, layout *geom.Layout,
+	ref func(o *Optimizer, st *iterState, mask, target *grid.Field) *grid.Field) {
+	t.Helper()
+	n := o.Sim.Cfg.GridSize
+	target := layout.Rasterize(n, o.Sim.Cfg.PixelNM)
+	samples := layout.SamplePoints(o.Cfg.EPESampleNM)
+	models, err := o.buildModels()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mask := maskFromParams(paramsFromMask(o.InitialMask(target), o.Cfg.ThetaM), o.Cfg.ThetaM)
+	st := o.evalState(mask, models, target, samples)
+	defer st.release()
+	got := o.gradient(st, mask, target)
+	want := ref(o, st, mask, target)
+	lo, hi := want.MinMax()
+	if lo == 0 && hi == 0 {
+		t.Fatal("reference gradient identically zero")
+	}
+	scale := math.Max(-lo, hi)
+	for i, g := range got.Data {
+		w := want.Data[i]
+		if math.Abs(g-w) > 1e-12*math.Max(math.Abs(g), math.Abs(w))+1e-14*scale {
+			t.Fatalf("pixel %d: gradient %.17g vs reference %.17g", i, g, w)
+		}
+	}
+}
+
 // TestGradientMatchesPerCornerReference: merging the corners of one focus
-// into a single adjoint pass reproduces the per-corner gradient to 1e-12
-// relative per pixel.
+// into a single adjoint pass reproduces the per-corner gradient.
 func TestGradientMatchesPerCornerReference(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mode Mode
-		edit func(*Config)
-	}{
-		{"fast", ModeFast, func(*Config) {}},
-		{"exact", ModeExact, func(*Config) {}},
-		{"alpha0", ModeFast, func(c *Config) { c.Alpha, c.Beta = 0, 1 }},
-		{"beta0", ModeExact, func(c *Config) { c.Beta = 0 }},
-	} {
+	for _, tc := range gradientCases {
 		t.Run(tc.name, func(t *testing.T) {
 			o, layout := testOptimizer(t, tc.mode)
 			tc.edit(&o.Cfg)
-			n := o.Sim.Cfg.GridSize
-			target := layout.Rasterize(n, o.Sim.Cfg.PixelNM)
-			samples := layout.SamplePoints(o.Cfg.EPESampleNM)
-			models, err := o.buildModels()
-			if err != nil {
-				t.Fatal(err)
-			}
-			// A mid-descent mask, so every corner's sigmoid is live.
-			mask := maskFromParams(paramsFromMask(o.InitialMask(target), o.Cfg.ThetaM), o.Cfg.ThetaM)
-			st := o.evalState(mask, models, target, samples)
-			defer st.release()
-			got := o.gradient(st, mask, target)
-			want := cornerGradient(o, st, mask, target)
-			lo, hi := want.MinMax()
-			if lo == 0 && hi == 0 {
-				t.Fatal("reference gradient identically zero")
-			}
-			// 1e-12 relative per pixel, with a floor of 1e-14 of the
-			// gradient's scale: where the gradient crosses zero, transform
-			// rounding (relative to the whole field) dominates the pixel.
-			scale := math.Max(-lo, hi)
-			for i, g := range got.Data {
-				w := want.Data[i]
-				if math.Abs(g-w) > 1e-12*math.Max(math.Abs(g), math.Abs(w))+1e-14*scale {
-					t.Fatalf("pixel %d: merged %.17g vs per-corner %.17g", i, g, w)
-				}
-			}
+			compareGradient(t, o, layout, cornerGradient)
 		})
 	}
 }
 
+// TestAdjointMatchesFullGridReference: running the adjoint on the image
+// grid (W_f low-passed and decimated, per-kernel products and forward
+// transforms at m x m) reproduces the full mask-grid adjoint. At the test
+// optimizer's 8 nm pixels the 64 px grid images on m = 32; at 16 nm the
+// window is 1024 nm, m = n = 64 and the resampling is skipped.
+func TestAdjointMatchesFullGridReference(t *testing.T) {
+	for _, g := range []struct {
+		pixelNM float64
+		m       int
+	}{{8, 32}, {16, 64}} {
+		for _, tc := range gradientCases {
+			t.Run(fmt.Sprintf("%gnm/%s", g.pixelNM, tc.name), func(t *testing.T) {
+				o, layout := testOptimizer(t, tc.mode)
+				tc.edit(&o.Cfg)
+				o.Sim.Cfg.PixelNM = g.pixelNM
+				if m := o.Sim.ImageGrid(o.Sim.Cfg.BandLimitK(), o.Cfg.GradKernels); m != g.m {
+					t.Fatalf("image grid %d, want %d", m, g.m)
+				}
+				compareGradient(t, o, layout, referenceGradient)
+			})
+		}
+	}
+}
+
 // TestIterationTransformCount pins the pruned-FFT budget of one ModeFast
-// iteration with 8 gradient kernels: the mask spectrum (1 forward), one
-// field per kernel at each of the two foci (16 inverse), one adjoint
-// forward per kernel per focus (16) and one adjoint inverse per focus (2).
+// iteration with 8 gradient kernels at two foci, on a 64 px mask grid
+// (n) whose image grid is 32 px (m):
+//
+//	forward: mask spectrum (1, n); per focus the intensity's band-2k
+//	         block (1, m), W_f's band-2k block (1, n) and one adjoint
+//	         product per kernel (8, m) -> 1 + 2*(1+1+8) = 21
+//	inverse: per focus one field per kernel (8, m), the intensity
+//	         interpolated to the mask grid (1, n), W_f decimated to the
+//	         image grid (1, m) and the adjoint's one inverse (1, n)
+//	         -> 2*(8+1+1+1) = 22
+//
+// Before the image grid it was 17 / 18, every transform at n.
 func TestIterationTransformCount(t *testing.T) {
 	c := optics.Default()
 	c.GridSize = 64
@@ -305,7 +398,7 @@ func TestIterationTransformCount(t *testing.T) {
 	if res.Iterations != 1 {
 		t.Fatalf("ran %d iterations, want 1", res.Iterations)
 	}
-	if df, di := fwd.Value()-f0, inv.Value()-i0; df != 17 || di != 18 {
-		t.Fatalf("one iteration ran %d forward / %d inverse pruned FFTs, want 17 / 18", df, di)
+	if df, di := fwd.Value()-f0, inv.Value()-i0; df != 21 || di != 22 {
+		t.Fatalf("one iteration ran %d forward / %d inverse pruned FFTs, want 21 / 22", df, di)
 	}
 }

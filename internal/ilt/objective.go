@@ -90,8 +90,8 @@ func (o *Optimizer) resolveKernels(m *focusModel, defocusNM float64) error {
 // focusState is the forward state at one focus for the current mask.
 type focusState struct {
 	model  *focusModel
-	fields []*grid.CField // A_k = M conv h_k, one per gradient kernel
-	i      *grid.Field    // aerial intensity (before dose), shared by the focus's corners
+	fields []*grid.CField // A_k = M conv h_k on the image grid, one per gradient kernel
+	i      *grid.Field    // aerial intensity (before dose) on the mask grid, shared by the focus's corners
 }
 
 // iterState is everything the objective and gradient share in one
@@ -154,28 +154,34 @@ func (m *focusModel) spanLabel() string {
 
 // evalState runs the forward model once per focus, prints every corner
 // from its focus's shared intensity, and evaluates the objective of the
-// configured mode.
+// configured mode. The coherent fields and their intensity are computed
+// on the simulator's ImageGrid; the intensity is interpolated to the mask
+// grid once per focus, where printing and the objective run.
 func (o *Optimizer) evalState(mask *grid.Field, models []focusModel, target *grid.Field, samples []geom.Sample) *iterState {
-	// All focus models share the optics configuration, hence the same
-	// frequency block half-width. The per-focus forward passes are
-	// independent (they only read the shared mask spectrum) and each writes
-	// its own pre-sized slots, so the foci run concurrently; the serial
-	// objective summation below keeps the floating-point order — and hence
-	// the result — deterministic.
+	// All focus models share the optics configuration and the stack size,
+	// hence the same frequency block half-width and image grid. The
+	// per-focus forward passes are independent (they only read the shared
+	// mask spectrum) and each writes its own pre-sized slots, so the foci
+	// run concurrently; the serial objective summation below keeps the
+	// floating-point order — and hence the result — deterministic.
 	st := &iterState{specBand: o.Sim.SpectrumBand(mask, models[0].k)}
 	st.foci = make([]focusState, len(models))
 	st.z = make([]*grid.Field, len(o.corners()))
+	g := o.Sim.ImageGrid(models[0].k, len(models[0].freqs))
 	par.For(len(models), func(mi int) {
 		m := &models[mi]
 		fsp := obs.Span("ilt.forward." + m.spanLabel())
-		fs := focusState{model: m, i: grid.Get(mask.W, mask.H).Zero()}
+		fs := focusState{model: m, i: grid.Get(mask.W, mask.H)}
 		fs.fields = make([]*grid.CField, len(m.freqs))
 		par.For(len(m.freqs), func(ki int) {
-			fs.fields[ki] = o.Sim.FieldFromSpectrumBand(st.specBand, m.freqs[ki], m.k)
+			fs.fields[ki] = o.Sim.FieldFromSpectrumBand(st.specBand, m.freqs[ki], m.k, g)
 		})
+		im := grid.Get(g, g).Zero()
 		for ki, f := range fs.fields {
-			f.AccumAbs2(fs.i, m.weights[ki])
+			f.AccumAbs2(im, m.weights[ki])
 		}
+		o.Sim.MaskImage(fs.i, im, m.k)
+		grid.Put(im)
 		for j, c := range m.corners {
 			st.z[m.index[j]] = o.Sim.Resist.PrintSigmoidInto(grid.Get(mask.W, mask.H), fs.i, c.Dose)
 		}
@@ -397,10 +403,12 @@ func (o *Optimizer) gradient(st *iterState, mask *grid.Field, target *grid.Field
 	grad := grid.Get(mask.W, mask.H).Zero()
 	for fi := range st.foci {
 		fs := &st.foci[fi]
+		sp := obs.Span("ilt.adjoint." + fs.model.spanLabel())
 		if w := o.focusWeight(st, fs.model, target); w != nil {
 			adjoint(grad, fs, w)
 			grid.Put(w)
 		}
+		sp.End()
 	}
 	if o.Cfg.SmoothWeight > 0 {
 		smoothGradient(grad, mask, o.Cfg.SmoothWeight)
@@ -450,27 +458,42 @@ func (o *Optimizer) focusWeight(st *iterState, m *focusModel, target *grid.Field
 //
 //	2*w_ki * Re{ IFFT( conj(Kf_ki) . FFT(W_f .* A_ki) ) }
 //
-// and the inverse transform is linear, so the per-kernel band blocks
-// accumulate in the frequency domain and ONE pruned inverse per focus
-// replaces one per kernel. Each worker chunk keeps its forward scratch and
-// partial band block resident across its kernels (no pool round-trips per
-// kernel), and the tiny partials merge serially in chunk order, so the
-// reduction is bit-deterministic regardless of scheduling.
+// evaluated on the image grid (m x m) the fields live on. Only the band-k
+// block of FFT(W_f .* A_ki) survives the kernel, and with A_ki of band k
+// only the band-2k part of W_f reaches it, so W_f is low-passed to band 2k
+// and decimated to m once per focus. The product then has band 3k, and
+// m > 4k keeps its aliases (shifted by m) clear of band k. The inverse
+// transform is linear, so the per-kernel band blocks accumulate in the
+// frequency domain, scaled once from the m- to the n-grid normalization,
+// and ONE pruned inverse per focus on the mask grid replaces one per
+// kernel. Each worker chunk keeps its forward scratch and partial band
+// block resident across its kernels (no pool round-trips per kernel), and
+// the tiny partials merge serially in chunk order, so the reduction is
+// bit-deterministic regardless of scheduling. When m == n the decimation
+// is skipped.
 func adjoint(grad *grid.Field, fs *focusState, w *grid.Field) {
 	m := fs.model
 	bw := 2*m.k + 1
 	n := grad.W
+	g := fs.fields[0].W
+	wg := w
+	if g != n {
+		wg = grid.Get(g, g)
+		fft.Resample(w, 2*m.k, wg)
+		defer grid.Put(wg)
+	}
+	toMask := fft.GridScale(g, n)
 	parts := make([]*grid.CField, len(m.freqs)) // indexed by chunk lo
 	par.ForChunks(len(m.freqs), func(lo, hi int) {
-		term := grid.GetC(n, n)
+		term := grid.GetC(g, g)
 		blk := grid.GetC(bw, bw)
 		part := grid.GetC(bw, bw).Zero()
 		for ki := lo; ki < hi; ki++ {
 			for i, av := range fs.fields[ki].Data {
-				term.Data[i] = av * complex(w.Data[i], 0)
+				term.Data[i] = av * complex(wg.Data[i], 0)
 			}
 			fft.ForwardBandLimited(term, m.k, blk) // term becomes scratch
-			scale := complex(2*m.weights[ki], 0)
+			scale := complex(2*m.weights[ki]*toMask, 0)
 			for i, kv := range m.freqs[ki].Data {
 				part.Data[i] += blk.Data[i] * complex(real(kv), -imag(kv)) * scale
 			}

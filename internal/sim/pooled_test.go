@@ -25,26 +25,37 @@ func randMask(n int, seed int64) *grid.Field {
 }
 
 // TestBandPipelineMatchesReference pins the pooled band-limited convolution
-// (SpectrumBand + FieldFromSpectrumBand) to the naive reference
-// (Spectrum + FieldFromSpectrum, i.e. EmbedCenter-equivalent multiply +
-// full Inverse2D) at 1e-12 over random masks and every SOCS kernel.
+// (SpectrumBand + FieldFromSpectrumBand, on the m x m image grid) to the
+// naive reference (Spectrum + FieldFromSpectrum, i.e. EmbedCenter-
+// equivalent multiply + full Inverse2D on the n x n mask grid) sampled at
+// every (n/m)-th pixel, at 1e-12 over random masks and every SOCS kernel.
 func TestBandPipelineMatchesReference(t *testing.T) {
 	s := testSim(t)
 	ks, err := s.Kernels(0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	n, m := s.Cfg.GridSize, s.ImageGrid(ks.K, len(ks.Freqs))
+	if m >= n {
+		t.Fatalf("image grid %d does not undercut the %d mask grid; the test would not exercise it", m, n)
+	}
+	step := n / m
 	for seed := int64(0); seed < 3; seed++ {
-		mask := randMask(s.Cfg.GridSize, seed)
+		mask := randMask(n, seed)
 		ref := s.Spectrum(mask)
 		band := s.SpectrumBand(mask, ks.K)
 		for ki, kf := range ks.Freqs {
 			want := s.FieldFromSpectrum(ref, kf, ks.K)
-			got := s.FieldFromSpectrumBand(band, kf, ks.K)
+			got := s.FieldFromSpectrumBand(band, kf, ks.K, m)
+			if got.W != m || got.H != m {
+				t.Fatalf("field is %dx%d, want the %d image grid", got.W, got.H, m)
+			}
 			maxDiff := 0.0
-			for i := range got.Data {
-				if d := cmplx.Abs(got.Data[i] - want.Data[i]); d > maxDiff {
-					maxDiff = d
+			for y := 0; y < m; y++ {
+				for x := 0; x < m; x++ {
+					if d := cmplx.Abs(got.At(x, y) - want.At(x*step, y*step)); d > maxDiff {
+						maxDiff = d
+					}
 				}
 			}
 			grid.PutC(got)
@@ -56,26 +67,31 @@ func TestBandPipelineMatchesReference(t *testing.T) {
 	}
 }
 
-// TestAerialMatchesReferenceSum pins the worker-local-accumulator Aerial
-// against an explicit per-kernel reference sum.
+// TestAerialMatchesReferenceSum pins the worker-local-accumulator Aerial,
+// imaged on the image grid and interpolated to the mask grid, against an
+// explicit per-kernel reference sum on the mask grid: at 8 nm pixels
+// (m = 32 < n = 64) and at 16 nm (a 1024 nm window, m = n = 64).
 func TestAerialMatchesReferenceSum(t *testing.T) {
-	s := testSim(t)
-	ks, err := s.Kernels(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mask := randMask(s.Cfg.GridSize, 7)
-	got, err := s.Aerial(mask, Nominal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := s.Spectrum(mask)
-	want := grid.New(mask.W, mask.H)
-	for i, kf := range ks.Freqs {
-		s.FieldFromSpectrum(spec, kf, ks.K).AccumAbs2(want, ks.Weights[i])
-	}
-	if !got.Equal(want, 1e-12) {
-		t.Fatal("Aerial differs from the reference SOCS sum")
+	for _, px := range []float64{8, 16} {
+		s := testSim(t)
+		s.Cfg.PixelNM = px
+		ks, err := s.Kernels(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mask := randMask(s.Cfg.GridSize, 7)
+		got, err := s.Aerial(mask, Nominal())
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := s.Spectrum(mask)
+		want := grid.New(mask.W, mask.H)
+		for i, kf := range ks.Freqs {
+			s.FieldFromSpectrum(spec, kf, ks.K).AccumAbs2(want, ks.Weights[i])
+		}
+		if !got.Equal(want, 1e-12) {
+			t.Fatalf("%g nm: Aerial (image grid %d) differs from the reference SOCS sum", px, s.ImageGrid(ks.K, len(ks.Freqs)))
+		}
 	}
 }
 

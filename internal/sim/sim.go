@@ -125,8 +125,8 @@ func (s *Simulator) SpectrumBand(mask *grid.Field, k int) *grid.CField {
 
 // FieldFromSpectrum convolves the mask (given by its full spectrum) with
 // one kernel (given by its frequency response on the central block of
-// half-width K) and returns the complex optical field on the full grid.
-// This is the reference implementation; the hot paths go through
+// half-width K) and returns the complex optical field on the full mask
+// grid. This is the test reference; the imaging paths go through
 // FieldFromSpectrumBand, which the equivalence tests pin to this one.
 func (s *Simulator) FieldFromSpectrum(spec *grid.CField, kf *grid.CField, k int) *grid.CField {
 	n := s.Cfg.GridSize
@@ -142,30 +142,65 @@ func (s *Simulator) FieldFromSpectrum(spec *grid.CField, kf *grid.CField, k int)
 	return out
 }
 
+// ImageGrid returns the side m of the grid that a stack of the given
+// number of coherent kernels, of frequency half-width k, images on. Each coherent field has
+// band k, so the aerial intensity sum_k w_k |A_k|^2 has band 2k and is
+// fully determined by its samples on any grid wider than 4k; the
+// adjoint's products W.A_k need the same width (see ilt's adjoint). m is
+// the smallest power of two above 4k, capped at the mask grid: for a
+// 1024 nm window (k = 14) it is 64, whatever the mask's pixel size. A
+// single-kernel stack (the Eq. 21 combined kernel) stays on the mask
+// grid: moving its intensity and adjoint weight between the grids costs
+// more than the one field transform per pass that the image grid
+// shrinks. Both rules follow from the optics and the stack; neither is a
+// tuning knob.
+func (s *Simulator) ImageGrid(k, kernels int) int {
+	if kernels < 2 {
+		return s.Cfg.GridSize
+	}
+	return min(s.Cfg.GridSize, fft.NextPow2(4*k+1))
+}
+
 // FieldFromSpectrumBand convolves the band-limited mask spectrum (as
 // returned by SpectrumBand) with one kernel's frequency response and
-// returns the complex optical field on the full grid, using the pruned
-// inverse transform. The returned field comes from the workspace pool;
-// release it with grid.PutC when done.
-func (s *Simulator) FieldFromSpectrumBand(specBand, kf *grid.CField, k int) *grid.CField {
-	n := s.Cfg.GridSize
+// returns the complex optical field on the m x m grid of its stack (m =
+// ImageGrid): the field's samples at every (n/m)-th mask pixel, using the
+// pruned inverse transform. The returned field comes from the workspace
+// pool; release it with grid.PutC when done.
+func (s *Simulator) FieldFromSpectrumBand(specBand, kf *grid.CField, k, m int) *grid.CField {
+	scale := complex(fft.GridScale(s.Cfg.GridSize, m), 0)
 	blk := grid.GetC(2*k+1, 2*k+1)
 	for i, v := range specBand.Data {
-		blk.Data[i] = v * kf.Data[i]
+		blk.Data[i] = v * kf.Data[i] * scale
 	}
-	out := grid.GetC(n, n)
-	fft.InverseBandLimited(blk, n, n, out)
+	out := grid.GetC(m, m)
+	fft.InverseBandLimited(blk, m, m, out)
 	grid.PutC(blk)
 	return out
 }
 
+// MaskImage writes the mask-grid (n x n) form of the image-grid intensity
+// im into dst. im is a sum of |A|^2 over fields of band half-width k, so
+// it has band 2k, which ImageGrid's m > 4k samples without aliasing: the
+// Fourier interpolation is exact up to rounding. When the two grids
+// coincide im is copied.
+func (s *Simulator) MaskImage(dst, im *grid.Field, k int) {
+	if im.W == dst.W {
+		copy(dst.Data, im.Data)
+		return
+	}
+	fft.Resample(im, 2*k, dst)
+}
+
 // Aerial computes the aerial image with the full SOCS stack (Eq. 2):
 // I = sum_k w_k |M conv h_k|^2 at the corner's defocus. Dose is NOT applied
-// here; it scales intensity at the resist step. Kernel convolutions run in
-// parallel across available cores, each worker chunk accumulating into its
-// own pooled partial image; the partials merge serially in chunk order, so
-// the floating-point sum — and hence the image — is bit-deterministic
-// regardless of how the chunks were scheduled.
+// here; it scales intensity at the resist step. The fields and their
+// intensity live on the ImageGrid, which is interpolated to the mask grid
+// once. Kernel convolutions run in parallel across available cores, each
+// worker chunk accumulating into its own pooled partial image; the
+// partials merge serially in chunk order, so the floating-point sum — and
+// hence the image — is bit-deterministic regardless of how the chunks were
+// scheduled.
 func (s *Simulator) Aerial(mask *grid.Field, c Corner) (*grid.Field, error) {
 	ks, err := s.Kernels(c.DefocusNM)
 	if err != nil {
@@ -173,12 +208,13 @@ func (s *Simulator) Aerial(mask *grid.Field, c Corner) (*grid.Field, error) {
 	}
 	defer obs.Span("sim.aerial." + c.spanLabel()).End()
 	spec := s.SpectrumBand(mask, ks.K)
-	img := grid.New(mask.W, mask.H)
+	m := s.ImageGrid(ks.K, len(ks.Freqs))
+	im := grid.Get(m, m).Zero()
 	parts := make([]*grid.Field, len(ks.Freqs)) // indexed by chunk lo
 	par.ForChunks(len(ks.Freqs), func(lo, hi int) {
-		part := grid.Get(mask.W, mask.H).Zero()
+		part := grid.Get(m, m).Zero()
 		for i := lo; i < hi; i++ {
-			field := s.FieldFromSpectrumBand(spec, ks.Freqs[i], ks.K)
+			field := s.FieldFromSpectrumBand(spec, ks.Freqs[i], ks.K, m)
 			field.AccumAbs2(part, ks.Weights[i])
 			grid.PutC(field)
 		}
@@ -188,16 +224,20 @@ func (s *Simulator) Aerial(mask *grid.Field, c Corner) (*grid.Field, error) {
 		if part == nil {
 			continue
 		}
-		img.Add(part)
+		im.Add(part)
 		grid.Put(part)
 	}
 	grid.PutC(spec)
+	img := grid.New(mask.W, mask.H)
+	s.MaskImage(img, im, ks.K)
+	grid.Put(im)
 	return img, nil
 }
 
 // AerialCombined computes the aerial image with the combined single kernel
 // of Eq. 21: I ~= |M conv H|^2 where H = sum_k w_k h_k. This is the fast
-// path used inside gradient descent.
+// path used inside gradient descent. One kernel images on the mask grid
+// (see ImageGrid).
 func (s *Simulator) AerialCombined(mask *grid.Field, c Corner) (*grid.Field, error) {
 	ks, err := s.Kernels(c.DefocusNM)
 	if err != nil {
@@ -205,10 +245,14 @@ func (s *Simulator) AerialCombined(mask *grid.Field, c Corner) (*grid.Field, err
 	}
 	defer obs.Span("sim.aerial_combined." + c.spanLabel()).End()
 	spec := s.SpectrumBand(mask, ks.K)
-	field := s.FieldFromSpectrumBand(spec, ks.Combined(), ks.K)
+	field := s.FieldFromSpectrumBand(spec, ks.Combined(), ks.K, s.ImageGrid(ks.K, 1))
 	grid.PutC(spec)
-	img := field.Abs2()
+	im := grid.Get(field.W, field.H).Zero()
+	field.AccumAbs2(im, 1)
 	grid.PutC(field)
+	img := grid.New(mask.W, mask.H)
+	s.MaskImage(img, im, ks.K)
+	grid.Put(im)
 	return img, nil
 }
 

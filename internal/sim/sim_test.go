@@ -284,3 +284,37 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		t.Fatal("zero resist steepness accepted")
 	}
 }
+
+// TestImageGrid pins the image grid for the configurations the system
+// runs: every 1024 nm window images a kernel stack on 64 px whatever its
+// pixel size, a mask grid too coarse to undercut keeps the mask grid, and
+// so does a single-kernel stack.
+func TestImageGrid(t *testing.T) {
+	for _, tc := range []struct {
+		grid    int
+		pixelNM float64
+		kernels int
+		want    int
+	}{
+		{128, 8, 8, 64},  // benchmark clip or tile window, 1024 nm
+		{512, 2, 24, 64}, // the paper's clip grid, 1024 nm
+		{64, 8, 2, 32},   // the 512 nm test window
+		{16, 64, 8, 16},  // 4k+1 exceeds the grid: no smaller grid exists
+		{128, 8, 1, 128}, // Eq. 21 combined kernel
+	} {
+		c := optics.Default()
+		c.GridSize, c.PixelNM = tc.grid, tc.pixelNM
+		s, err := New(c, resist.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := c.BandLimitK()
+		got := s.ImageGrid(k, tc.kernels)
+		if got != tc.want {
+			t.Errorf("%d px at %g nm (k=%d), %d kernels: ImageGrid = %d, want %d", tc.grid, tc.pixelNM, k, tc.kernels, got, tc.want)
+		}
+		if got < tc.grid && got <= 4*k {
+			t.Errorf("%d px at %g nm: image grid %d does not exceed 4k = %d", tc.grid, tc.pixelNM, got, 4*k)
+		}
+	}
+}
